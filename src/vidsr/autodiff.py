@@ -162,21 +162,18 @@ class Tape:
 
     def conv2d(self, x: Node, w: Node, b: Node, padding: int,
                pad_values=None) -> Node:
-        y, col = _conv2d(x.value, w.value, b.value, padding, pad_values,
-                         want_cache=True)
         k = w.shape[2]
-        in_ch = w.shape[1]
-        in_shape = x.shape
 
         def grad(u):
             return [
-                (x, _conv2d_grad_input(u, w.value, padding, in_shape)),
-                (w, _conv2d_grad_weight(col, u, k, in_ch)),
+                (x, _conv2d_grad_input(u, w.value, padding, x.shape)),
+                (w, _conv2d_grad_weight(x.value, u, k, padding, pad_values)),
                 (b, _conv2d_grad_bias(u)),
             ]
 
         return self._record(
-            "conv2d", y, (x, w, b), grad,
+            "conv2d", _conv2d(x.value, w.value, b.value, padding, pad_values),
+            (x, w, b), grad,
             lambda: _conv2d(x.value, w.value, b.value, padding, pad_values))
 
     def pixel_shuffle(self, x: Node, r: int) -> Node:

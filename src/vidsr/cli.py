@@ -58,7 +58,11 @@ def _log(msg):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
+    raw = os.environ.get(SEED_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _write_manifest(out_path: Path, subcommand: str, config: dict,
@@ -450,9 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except UsageError as e:
         _log(f"usage error: {e}")

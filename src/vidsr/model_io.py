@@ -258,14 +258,21 @@ def _read_token(fh):
         tok += ch
 
 
+def _read_int(fh, path):
+    tok = _read_token(fh)
+    if not tok.isdigit():
+        raise FrameError(f"{path}: non-numeric PPM header token {tok!r}")
+    return int(tok)
+
+
 def read_ppm(path) -> np.ndarray:
     """Returns a (3, H, W) float32 array with values v/255."""
     with open(path, "rb") as fh:
         if fh.read(2) != b"P6":
             raise FrameError(f"{path}: not a binary PPM (P6)")
-        w = int(_read_token(fh))
-        h = int(_read_token(fh))
-        maxval = int(_read_token(fh))
+        w = _read_int(fh, path)
+        h = _read_int(fh, path)
+        maxval = _read_int(fh, path)
         if maxval != 255:
             raise FrameError(f"{path}: only maxval 255 supported, got {maxval}")
         data = fh.read(w * h * 3)

@@ -118,35 +118,15 @@ class ConvKernel:
 # raw kernels (dtype-preserving, ndarray in / ndarray out)
 # ---------------------------------------------------------------------------
 
+# _to_hwc, _to_chw and _im2col are no longer called by any conv; they stay
+# defined because perfbench/tracer.py wraps them by name.
+
 def _to_hwc(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1))
 
 
 def _to_chw(x):
     return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
-
-
-def _pad_hwc(xl, padding, pad_values=None):
-    """Pad a channels-last array spatially with per-channel constants."""
-    if padding == 0:
-        return xl
-    b, h, w, c = xl.shape
-    p = padding
-    if pad_values is None:
-        out = np.zeros((b, h + 2 * p, w + 2 * p, c), xl.dtype)
-    else:
-        pv = np.asarray(pad_values, xl.dtype)
-        out = np.empty((b, h + 2 * p, w + 2 * p, c), xl.dtype)
-        out[...] = pv
-    out[:, p:-p, p:-p, :] = xl
-    return out
-
-
-def _kernel_matrix(w):
-    """(O,I,K,K) -> (K*K*I, O) rows ordered (tap_row, tap_col, in_channel)."""
-    k = w.shape[2]
-    o = w.shape[0]
-    return np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(k * k * w.shape[1], o)
 
 
 def _im2col(xp_hwc, k):
@@ -157,63 +137,111 @@ def _im2col(xp_hwc, k):
     return col.reshape(b * (hp - k + 1) * (wp - k + 1), k * k * c)
 
 
-def _conv2d(x, w, b, padding, pad_values=None, want_cache=False):
-    """Stride-1 cross-correlation. Returns y, or (y, cache) for backward."""
+# The convs below take and return NCHW and never build im2col. The
+# input is padded into a channel-major (C, B, Hp, Wp) buffer whose flat
+# view (C, n), n = B*Hp*Wp, puts tap (u, v) of output pixel j at column
+# j + u*Wp + v. Stacking the K horizontal shifts gives a (K*C, n-K+1)
+# matrix, and each tap row u is one GEMM over the column window starting
+# at u*Wp. Output columns are positions in the padded grid; those whose
+# rows or columns run past Ho or Wo mix neighbouring rows or images and
+# are cropped, the rest never read across an image boundary.
+
+def _shift_stack(x, k, padding, pad_values=None):
+    """(B,C,H,W) -> ((K*C, n-K+1) horizontal shifts, Hp, Wp).
+
+    Row block v is the flat padded input shifted left by v; block 0 is
+    written straight from x and the others are copied from it.
+    """
+    bb, c, h, w = x.shape
+    p = padding
+    hp, wp = h + 2 * p, w + 2 * p
+    n = bb * hp * wp
+    buf = np.empty((k, c, n), x.dtype)
+    xp = buf[0].reshape(c, bb, hp, wp)
+    if p:
+        fill = 0 if pad_values is None else \
+            np.asarray(pad_values, x.dtype)[:, None, None, None]
+        xp[:, :, :p] = fill
+        xp[:, :, -p:] = fill
+        xp[:, :, p:-p, :p] = fill
+        xp[:, :, p:-p, -p:] = fill
+    xp[:, :, p:p + h, p:p + w] = x.transpose(1, 0, 2, 3)
+    for v in range(1, k):
+        buf[v, :, :n - v] = buf[0, :, v:]
+    return buf.reshape(k * c, n)[:, :n - k + 1], hp, wp
+
+
+def _correlate(x, w, padding, pad_values=None, bias=None):
+    """Stride-1 NCHW cross-correlation by per-tap-row GEMMs."""
     bb, c, h, ww = x.shape
     o, i, k, _ = w.shape
     dt = x.dtype
     wv = np.asarray(w, dt)
-    bv = np.asarray(b, dt)
-    xl = _to_hwc(x)
-    xp = _pad_hwc(xl, padding, pad_values)
     ho = h - k + 1 + 2 * padding
     wo = ww - k + 1 + 2 * padding
-    if k == 1:
-        col = xp.reshape(-1, c)
-        y = col @ wv[:, :, 0, 0].T
+    if k == 1 and padding == 0:
+        y = np.matmul(wv[:, :, 0, 0], x.reshape(bb, c, h * ww))
+        if bias is not None:
+            y += np.asarray(bias, dt)[:, None]
+        return y.reshape(bb, o, ho, wo)
+    sh, hp, wp = _shift_stack(x, k, padding, pad_values)
+    # (K, O, K*I): tap row u, columns ordered (v, i) like the shift stack
+    rows = np.ascontiguousarray(wv.transpose(2, 0, 3, 1)).reshape(k, o, k * i)
+    span = bb * hp * wp - (k - 1) * (wp + 1)   # last valid output + 1
+    acc = np.empty((o, bb * hp * wp), dt)
+    np.matmul(rows[0], sh[:, :span], out=acc[:, :span])
+    for u in range(1, k):
+        acc[:, :span] += rows[u] @ sh[:, u * wp:u * wp + span]
+    y = np.empty((bb, o, ho, wo), dt)
+    valid = acc.reshape(o, bb, hp, wp)[:, :, :ho, :wo].transpose(1, 0, 2, 3)
+    if bias is None:
+        y[...] = valid
     else:
-        col = _im2col(xp, k)
-        y = col @ _kernel_matrix(wv)
-    y += bv
-    yf = _to_chw(y.reshape(bb, ho, wo, o))
-    if want_cache:
-        return yf, col
-    return yf
+        np.add(valid, np.asarray(bias, dt)[:, None, None], out=y)
+    return y
+
+
+def _conv2d(x, w, b, padding, pad_values=None):
+    """Stride-1 cross-correlation plus per-output-channel bias."""
+    return _correlate(x, w, padding, pad_values, b)
 
 
 def _conv2d_grad_bias(gy):
     return gy.sum(axis=(0, 2, 3))
 
 
-def _conv2d_grad_weight(col, gy, k, in_channels):
-    """Weight gradient from the cached im2col matrix."""
-    o = gy.shape[1]
-    gyl = np.ascontiguousarray(gy.transpose(0, 2, 3, 1)).reshape(-1, o)
-    gm = col.T @ gyl  # (K*K*I, O)
-    if k == 1:
-        return np.ascontiguousarray(gm.T).reshape(o, in_channels, 1, 1)
-    return np.ascontiguousarray(gm.reshape(k, k, in_channels, o).transpose(3, 2, 0, 1))
+def _conv2d_grad_weight(x, gy, k, padding, pad_values=None):
+    """Weight gradient: per-tap-row GEMMs of the input shifts against gy."""
+    bb, c, h, ww = x.shape
+    o, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
+    dt = gy.dtype
+    if k == 1 and padding == 0:
+        g = np.matmul(gy.reshape(bb, o, ho * wo),
+                      x.reshape(bb, c, h * ww).transpose(0, 2, 1)).sum(axis=0)
+        return g.reshape(o, c, 1, 1)
+    sh, hp, wp = _shift_stack(np.asarray(x, dt), k, padding, pad_values)
+    span = bb * hp * wp - (k - 1) * (wp + 1)
+    # gy zero-embedded in the padded grid as the (n, O) GEMM operand;
+    # a contiguous (n, O) runs faster here than the transposed (O, n).
+    ge = np.zeros((bb, hp, wp, o), dt)
+    ge[:, :ho, :wo] = gy.transpose(0, 2, 3, 1)
+    gt = ge.reshape(-1, o)[:span]
+    g = np.empty((k, k * c, o), dt)
+    for u in range(k):
+        np.matmul(sh[:, u * wp:u * wp + span], gt, out=g[u])
+    return np.ascontiguousarray(g.reshape(k, k, c, o).transpose(3, 2, 0, 1))
 
 
 def _conv2d_grad_input(gy, w, padding, in_shape):
-    """Input gradient: full correlation with the flipped, transposed kernel."""
-    o, i, k, _ = w.shape
-    dt = gy.dtype
-    wv = np.asarray(w, dt)
-    gl = _to_hwc(gy)
-    gp = _pad_hwc(gl, k - 1)
-    if k == 1:
-        gx = gp.reshape(-1, o) @ wv[:, :, 0, 0]
-    else:
-        wf = wv[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (I,O,k,k)
-        gx = _im2col(gp, k) @ _kernel_matrix(wf)
-    b = gy.shape[0]
-    hf = gy.shape[2] + k - 1
-    wf_ = gy.shape[3] + k - 1
-    gx = gx.reshape(b, hf, wf_, i)
-    if padding:
-        gx = gx[:, padding:-padding, padding:-padding, :]
-    out = _to_chw(gx)
+    """Input gradient: correlation of gy with the flipped, transposed
+    kernel at padding K-1-p, which lands exactly on the input grid."""
+    k = w.shape[2]
+    q = k - 1 - padding
+    if q < 0:   # outputs whose taps all fall on padding reach no input
+        gy = gy[:, :, -q:q, -q:q]
+        q = 0
+    wf = np.asarray(w, gy.dtype)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    out = _correlate(gy, wf, q)
     if out.shape != in_shape:
         raise ShapeMismatch(f"conv backward produced {out.shape}, expected {in_shape}")
     return out

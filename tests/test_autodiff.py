@@ -43,6 +43,28 @@ class TestBackwardBasics:
         t.sum_all(t.square(y))
         assert t.replay_matches()
 
+    def test_backward_calls_no_forward_conv(self, monkeypatch):
+        # one _conv2d call per conv node: the backward kernels share
+        # helpers with the forward but never call it
+        from vidsr import tensor
+        t = Tape()
+        x = t.leaf(rnd((2, 3, 5, 6), 30))
+        w3, b3 = t.leaf(rnd((4, 3, 3, 3), 31)), t.leaf(rnd((4,), 32))
+        w1, b1 = t.leaf(rnd((2, 4, 1, 1), 33)), t.leaf(rnd((2,), 34))
+        y = t.conv2d(t.conv2d(x, w3, b3, 1, rnd((3,), 35)), w1, b1, 0)
+        loss = t.sum_all(t.square(y))
+        calls = []
+        real = tensor._conv2d
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_conv2d", counting)
+        grads = t.backward(loss)
+        assert calls == []
+        assert all(n.id in grads for n in (x, w3, b3, w1, b1))
+
     def test_branch_sum_gradient_linearity(self):
         # grad of sum of branch outputs == sum of per-branch grads
         x_val = rnd((1, 3, 6, 6), 6)

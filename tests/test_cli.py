@@ -149,3 +149,12 @@ class TestExitCodes:
                    "--height", 16, "--width", 16) == EXIT_OK
         manifest = json.loads((workspace / "s" / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+    def test_bad_env_seed_is_one_line_usage_error(self, workspace,
+                                                  monkeypatch, capsys):
+        monkeypatch.setenv("VIDSR_SEED", "abc")
+        assert run("synth", "--out", workspace / "d") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert "VIDSR_SEED" in err

@@ -135,6 +135,12 @@ class TestPpm:
         with pytest.raises(mio.FrameError):
             mio.read_ppm(p)
 
+    def test_non_numeric_header_token_is_frame_error(self, tmp_path):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(b"P6\nab 4\n255\n")
+        with pytest.raises(mio.FrameError, match="bad.ppm"):
+            mio.read_ppm(p)
+
     def test_dim_inconsistency_rejected(self, tmp_path):
         d = tmp_path / "v"
         d.mkdir()

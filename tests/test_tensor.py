@@ -91,6 +91,45 @@ class TestConv2d:
             T.conv2d(x, kern(np.zeros((1, 1, 3, 3))), 2)
 
 
+class TestConvAdjoints:
+    """The backward kernels are the exact adjoints of the loop oracle.
+
+    For a linear map A, <gy, A x> = <A^T gy, x>. The conv is linear in x
+    at zero bias and zero padding, and linear in w at zero bias with or
+    without constant pad values (those act as extra input pixels). B > 1
+    with H != W checks that no tap crosses an image or row boundary in
+    the batch-flattened layout.
+    """
+
+    CASES = [(b, k, p) for b in (1, 3) for k in (1, 3) for p in (0, 1)]
+
+    @staticmethod
+    def operands(b, k, p, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((b, 2, 5, 4))
+        w = rng.standard_normal((3, 2, k, k))
+        gy = rng.standard_normal((b, 3, 5 + 2 * p - k + 1, 4 + 2 * p - k + 1))
+        return rng, x, w, gy
+
+    @pytest.mark.parametrize("b,k,p", CASES)
+    def test_grad_input_is_adjoint(self, b, k, p):
+        _, x, w, gy = self.operands(b, k, p, 10 * b + k + p)
+        y = conv2d_oracle(x, w, np.zeros(3), p)
+        gx = T._conv2d_grad_input(gy, w, p, x.shape)
+        assert gx.dtype == np.float64
+        np.testing.assert_allclose(np.vdot(gx, x), np.vdot(gy, y), rtol=1e-12)
+
+    @pytest.mark.parametrize("b,k,p", CASES)
+    @pytest.mark.parametrize("with_pad_values", [False, True])
+    def test_grad_weight_is_adjoint(self, b, k, p, with_pad_values):
+        rng, x, w, gy = self.operands(b, k, p, 20 * b + k + p)
+        pv = rng.standard_normal(2) if with_pad_values else None
+        y = conv2d_oracle(x, w, np.zeros(3), p, pv)
+        gw = T._conv2d_grad_weight(x, gy, k, p, pv)
+        assert gw.dtype == np.float64 and gw.shape == w.shape
+        np.testing.assert_allclose(np.vdot(gw, w), np.vdot(gy, y), rtol=1e-12)
+
+
 class TestPixelShuffle:
     def test_definition_2x2(self):
         x = t4(np.array([1., 2., 3., 4.]).reshape(1, 4, 1, 1))
