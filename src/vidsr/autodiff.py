@@ -18,6 +18,7 @@ from .tensor import (
     _conv2d_grad_bias,
     _conv2d_grad_input,
     _conv2d_grad_weight,
+    _pad_const,
     _pixel_shuffle,
     _pixel_unshuffle,
     _relu,
@@ -27,15 +28,14 @@ SCALAR_DIMS = (1, 1, 1, 1)
 
 
 class Node:
-    __slots__ = ("id", "op", "value", "parents", "grad_fn", "recompute")
+    __slots__ = ("id", "op", "value", "parents", "grad_fn")
 
-    def __init__(self, nid, op, value, parents, grad_fn, recompute):
+    def __init__(self, nid, op, value, parents, grad_fn):
         self.id = nid
         self.op = op
         self.value = value
         self.parents = parents
         self.grad_fn = grad_fn
-        self.recompute = recompute
 
     @property
     def shape(self):
@@ -49,8 +49,8 @@ class Tape:
         self.dtype = np.dtype(dtype)
         self.nodes: list[Node] = []
 
-    def _record(self, op, value, parents, grad_fn, recompute=None):
-        node = Node(len(self.nodes), op, value, parents, grad_fn, recompute)
+    def _record(self, op, value, parents, grad_fn):
+        node = Node(len(self.nodes), op, value, parents, grad_fn)
         self.nodes.append(node)
         return node
 
@@ -65,16 +65,14 @@ class Tape:
             raise ShapeMismatch(f"add: {a.shape} vs {b.shape}")
         return self._record(
             "add", a.value + b.value, (a, b),
-            lambda u: [(a, u), (b, u)],
-            lambda: a.value + b.value)
+            lambda u: [(a, u), (b, u)])
 
     def sub(self, a: Node, b: Node) -> Node:
         if a.shape != b.shape:
             raise ShapeMismatch(f"sub: {a.shape} vs {b.shape}")
         return self._record(
             "sub", a.value - b.value, (a, b),
-            lambda u: [(a, u), (b, -u)],
-            lambda: a.value - b.value)
+            lambda u: [(a, u), (b, -u)])
 
     def sum_nodes(self, items) -> Node:
         items = list(items)
@@ -85,51 +83,33 @@ class Tape:
             val += it.value
         return self._record(
             "sum_nodes", val, tuple(items),
-            lambda u: [(it, u) for it in items],
-            lambda: sum(it.value for it in items))
+            lambda u: [(it, u) for it in items])
 
     def mul_scalar(self, a: Node, s: float) -> Node:
         s = self.dtype.type(s)
         return self._record(
             "mul_scalar", a.value * s, (a,),
-            lambda u: [(a, u * s)],
-            lambda: a.value * s)
+            lambda u: [(a, u * s)])
 
     def square(self, a: Node) -> Node:
         return self._record(
             "square", a.value * a.value, (a,),
-            lambda u: [(a, 2.0 * a.value * u)],
-            lambda: a.value * a.value)
+            lambda u: [(a, 2.0 * a.value * u)])
 
     def relu(self, a: Node) -> Node:
         y = _relu(a.value)
         # derivative taken as 0 at exactly 0
         return self._record(
             "relu", y, (a,),
-            lambda u: [(a, u * (a.value > 0))],
-            lambda: _relu(a.value))
+            lambda u: [(a, u * (a.value > 0))])
 
     # -- structure ----------------------------------------------------------
 
-    def pad_const(self, a: Node, padding: int, values=None) -> Node:
-        b, c, h, w = a.shape
-        p = padding
-
-        def fwd():
-            if values is None:
-                out = np.zeros((b, c, h + 2 * p, w + 2 * p), a.value.dtype)
-            else:
-                out = np.empty((b, c, h + 2 * p, w + 2 * p), a.value.dtype)
-                out[...] = np.asarray(values, a.value.dtype)[None, :, None, None]
-            out[:, :, p:-p, p:-p] = a.value
-            return out
-
-        if p == 0:
-            return a
+    def pad_const(self, a: Node, p: int) -> Node:
+        _, _, h, w = a.shape
         return self._record(
-            "pad_const", fwd(), (a,),
-            lambda u: [(a, np.ascontiguousarray(u[:, :, p:-p, p:-p]))],
-            fwd)
+            "pad_const", _pad_const(a.value, p), (a,),
+            lambda u: [(a, np.ascontiguousarray(u[:, :, p:p + h, p:p + w]))])
 
     def concat_channels(self, items) -> Node:
         items = list(items)
@@ -141,22 +121,10 @@ class Tape:
 
         return self._record(
             "concat_channels", np.concatenate([it.value for it in items], axis=1),
-            tuple(items), grad,
-            lambda: np.concatenate([it.value for it in items], axis=1))
+            tuple(items), grad)
 
-    def stack_kernels(self, items) -> Node:
-        """Stack (O,I,K,K) weights along the input-channel axis."""
-        items = list(items)
-        splits = np.cumsum([it.shape[1] for it in items])[:-1]
-
-        def grad(u):
-            parts = np.split(u, splits, axis=1)
-            return [(it, np.ascontiguousarray(g)) for it, g in zip(items, parts)]
-
-        return self._record(
-            "stack_kernels", np.concatenate([it.value for it in items], axis=1),
-            tuple(items), grad,
-            lambda: np.concatenate([it.value for it in items], axis=1))
+    # (O,I,K,K) weights stack along the input-channel axis the same way
+    stack_kernels = concat_channels
 
     # -- heavy primitives ----------------------------------------------------
 
@@ -173,14 +141,12 @@ class Tape:
 
         return self._record(
             "conv2d", _conv2d(x.value, w.value, b.value, padding, pad_values),
-            (x, w, b), grad,
-            lambda: _conv2d(x.value, w.value, b.value, padding, pad_values))
+            (x, w, b), grad)
 
     def pixel_shuffle(self, x: Node, r: int) -> Node:
         return self._record(
             "pixel_shuffle", _pixel_shuffle(x.value, r), (x,),
-            lambda u: [(x, _pixel_unshuffle(u, r))],
-            lambda: _pixel_shuffle(x.value, r))
+            lambda u: [(x, _pixel_unshuffle(u, r))])
 
     def bicubic_resize(self, x: Node, out_h: int, out_w: int) -> Node:
         _, _, h, w = x.shape
@@ -189,9 +155,7 @@ class Tape:
             return [(x, _bicubic_resize(u, h, w, transpose=True))]
 
         return self._record(
-            "bicubic_resize", _bicubic_resize(x.value, out_h, out_w), (x,),
-            grad,
-            lambda: _bicubic_resize(x.value, out_h, out_w))
+            "bicubic_resize", _bicubic_resize(x.value, out_h, out_w), (x,), grad)
 
     def apply_patches(self, x: Node, prompts, placements) -> Node:
         """Add prompt sub-rectangles onto frame/patch regions.
@@ -203,13 +167,10 @@ class Tape:
         gradient summed over every placement of that prompt.
         """
         prompts = list(prompts)
-
-        def fwd():
-            out = x.value.copy()
-            for slot, bi, fy, fx, py, px, h, w in placements:
-                out[bi, :, fy:fy + h, fx:fx + w] += \
-                    prompts[slot].value[:, py:py + h, px:px + w]
-            return out
+        y = x.value.copy()
+        for slot, bi, fy, fx, py, px, h, w in placements:
+            y[bi, :, fy:fy + h, fx:fx + w] += \
+                prompts[slot].value[:, py:py + h, px:px + w]
 
         def grad(u):
             out = [(x, u)]
@@ -222,7 +183,7 @@ class Tape:
             out.extend((prompts[slot], g) for slot, g in acc.items())
             return out
 
-        return self._record("apply_patches", fwd(), (x, *prompts), grad, fwd)
+        return self._record("apply_patches", y, (x, *prompts), grad)
 
     # -- reductions ----------------------------------------------------------
 
@@ -230,8 +191,7 @@ class Tape:
         val = np.full(SCALAR_DIMS, x.value.sum(dtype=np.float64), x.value.dtype)
         return self._record(
             "sum_all", val, (x,),
-            lambda u: [(x, np.full(x.shape, u.ravel()[0], u.dtype))],
-            lambda: np.full(SCALAR_DIMS, x.value.sum(dtype=np.float64), x.value.dtype))
+            lambda u: [(x, np.full(x.shape, u.ravel()[0], u.dtype))])
 
     def l1_loss(self, pred: Node, target) -> Node:
         """Mean absolute error against a constant target array."""
@@ -246,9 +206,7 @@ class Tape:
             # subgradient: sign(0) = 0
             return [(pred, np.sign(r) * (u.ravel()[0] / n))]
 
-        return self._record(
-            "l1_loss", val, (pred,), grad,
-            lambda: np.full(SCALAR_DIMS, np.abs(pred.value - t, dtype=np.float64).mean(), r.dtype))
+        return self._record("l1_loss", val, (pred,), grad)
 
     # -- traversal -----------------------------------------------------------
 
@@ -269,17 +227,6 @@ class Tape:
                 else:
                     grads[parent.id] = acc + g
         return grads
-
-    def replay_matches(self) -> bool:
-        """Re-run every recorded primitive; True if all outputs match bitwise."""
-        for node in self.nodes:
-            if node.recompute is None:
-                continue
-            again = node.recompute()
-            if again.shape != node.value.shape or not np.array_equal(
-                    again, node.value):
-                return False
-        return True
 
 
 def finite_diff_check(build, at, eps: float = 1e-3,

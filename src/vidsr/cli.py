@@ -249,6 +249,12 @@ def _infer_one(net, prompts_by_chunk, meta, frames, idx):
 def cmd_infer(args) -> int:
     net, prompts, _ = model_io.load_model(args.model)
     meta, frames = _load_chunk_dir(Path(args.chunked))
+    if net.scale != meta.get("scale"):
+        raise ValueError(f"model upscales x{net.scale}, chunks.json says "
+                         f"x{meta.get('scale')}")
+    if len(prompts) not in (0, meta.get("chunks")):
+        raise ValueError(f"model carries {len(prompts)} prompts, chunks.json "
+                         f"has {meta.get('chunks')} chunks")
     prompts_by_chunk = {p.chunk_id: p for p in prompts}
     out = Path(args.out)
     indices = range(len(frames))

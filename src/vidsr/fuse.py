@@ -2,16 +2,17 @@
 
 A 1x1 cascade followed by a 3x3 conv is an affine map followed by a
 convolution, so it folds into one 3x3 kernel; parallel branches with
-identical configuration fold by kernel summation (sum merge) or by
-stacking along the output-channel axis (concat merge). All folding
-arithmetic runs in float64 and is stored back as float32.
+identical configuration fold by kernel summation. All folding arithmetic
+runs in float64 and is stored back as float32.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .network import BackboneConfig, Branch, FusedNet, MultiBranchConv, SRNet
+from .network import FusedNet, MultiBranchConv
 from .tensor import ChannelMismatch, ConvKernel, ShapeMismatch
 
 
@@ -58,39 +59,24 @@ def fuse_cascade(cascade, conv3: ConvKernel) -> ConvKernel:
     return ConvKernel(fused_w.astype(np.float32), fused_b.astype(np.float32))
 
 
-def _check_same_config(kernels, same_out=True):
+def fuse_parallel_sum(kernels) -> ConvKernel:
+    """Merge same-config parallel branches by summing kernels and biases."""
+    kernels = list(kernels)
     first = kernels[0]
     for k in kernels[1:]:
         if k.size != first.size or k.in_channels != first.in_channels:
             raise ShapeMismatch("parallel branches must share kernel config")
-        if same_out and k.out_channels != first.out_channels:
+        if k.out_channels != first.out_channels:
             raise ShapeMismatch("parallel sum needs equal output widths")
-
-
-def fuse_parallel_sum(kernels) -> ConvKernel:
-    """Merge same-config parallel branches by summing kernels and biases."""
-    kernels = list(kernels)
-    _check_same_config(kernels)
     w = np.sum([np.asarray(k.weight, np.float64) for k in kernels], axis=0)
     b = np.sum([np.asarray(k.bias, np.float64) for k in kernels], axis=0)
     return ConvKernel(w.astype(np.float32), b.astype(np.float32))
 
 
-def fuse_parallel_concat(kernels) -> ConvKernel:
-    """Merge parallel branches by stacking along the output-channel axis."""
-    kernels = list(kernels)
-    _check_same_config(kernels, same_out=False)
-    w = np.concatenate([k.weight for k in kernels], axis=0)
-    b = np.concatenate([k.bias for k in kernels], axis=0)
-    return ConvKernel(w, b)
-
-
 def fuse_block(conv: MultiBranchConv) -> ConvKernel:
     """Collapse one multi-branch block into a single 3x3 convolution."""
-    per_branch = [fuse_cascade(br.cascade, br.main) for br in conv.branches]
-    if conv.merge == "sum":
-        return fuse_parallel_sum(per_branch)
-    return fuse_parallel_concat(per_branch)
+    return fuse_parallel_sum(fuse_cascade(br.cascade, br.main)
+                             for br in conv.branches)
 
 
 def fuse_network(net) -> FusedNet:
@@ -100,26 +86,6 @@ def fuse_network(net) -> FusedNet:
     operation is idempotent.
     """
     if isinstance(net, FusedNet):
-        return FusedNet(net.channels, net.scale, net.global_skip,
-                        net.head, list(net.body), net.tail)
-    body = []
-    for c0, c1 in net.body:
-        for conv in (c0, c1):
-            if conv.merge != "sum":
-                raise ShapeMismatch(
-                    "concat-merge blocks change the channel count and "
-                    "cannot sit inside a residual body")
-        body.append((fuse_block(c0), fuse_block(c1)))
-    return FusedNet(net.config.channels, net.config.scale,
-                    net.config.global_skip, net.head, body, net.tail)
-
-
-def as_single_branch(net: FusedNet) -> SRNet:
-    """View a fused network as an M=1 multi-branch network."""
-    config = BackboneConfig(channels=net.channels, blocks=len(net.body),
-                            branches=1, scale=net.scale,
-                            global_skip=net.global_skip)
-    body = [tuple(MultiBranchConv(net.channels, "sum", [Branch((), k)])
-                  for k in pair)
-            for pair in net.body]
-    return SRNet(config, net.head, body, net.tail)
+        return FusedNet(net.config, net.head, list(net.body), net.tail)
+    body = [(fuse_block(c0), fuse_block(c1)) for c0, c1 in net.body]
+    return FusedNet(replace(net.config, branches=1), net.head, body, net.tail)

@@ -15,22 +15,15 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .network import (
-    BackboneConfig,
-    Branch,
-    FusedNet,
-    MultiBranchConv,
-    SRNet,
-    named_params,
-)
+from .network import BackboneConfig, FusedNet, named_params, net_from_params
 from .prompt import VisualPrompt
-from .tensor import ConvKernel
+from .tensor import TensorError
 
 MAGIC = b"RCAM"
 FORMAT_VERSION = 1
@@ -129,16 +122,14 @@ def load_container(path) -> ModelContainer:
 # model-level save/load
 # ---------------------------------------------------------------------------
 
+ARCH_FIELDS = {"channels": int, "blocks": int, "branches": int,
+               "scale": int, "global_skip": bool}
+
+
 def _arch_header(net) -> dict:
-    if isinstance(net, SRNet):
-        cfg = net.config
-        return {"kind": "training", "channels": cfg.channels,
-                "blocks": cfg.blocks, "branches": cfg.branches,
-                "scale": cfg.scale, "global_skip": cfg.global_skip,
-                "merge": "sum"}
-    return {"kind": "fused", "channels": net.channels,
-            "blocks": len(net.body), "branches": 1, "scale": net.scale,
-            "global_skip": net.global_skip, "merge": "sum"}
+    # "merge" is always "sum"; loaders reject any other value
+    return {"kind": "fused" if isinstance(net, FusedNet) else "training",
+            **asdict(net.config), "merge": "sum"}
 
 
 def save_model(path, net, prompts=(), chunks=None, train_config=None,
@@ -163,41 +154,29 @@ def save_model(path, net, prompts=(), chunks=None, train_config=None,
 
 def _net_from_container(container: ModelContainer):
     arch = container.header.get("arch")
-    if not arch:
+    if not isinstance(arch, dict):
         raise HeaderError("container has no architecture header")
-    t = container.tensors
-
-    def kernel(name):
-        try:
-            return ConvKernel(t[name + ".w"], t[name + ".b"])
-        except KeyError as e:
-            raise HeaderError(f"container missing tensor {e}") from None
-
-    head = kernel("head")
-    tail = kernel("tail")
-    if arch["kind"] == "fused":
-        body = [(kernel(f"body{b}.conv0"), kernel(f"body{b}.conv1"))
-                for b in range(arch["blocks"])]
-        return FusedNet(arch["channels"], arch["scale"], arch["global_skip"],
-                        head, body, tail)
-    cfg = BackboneConfig(channels=arch["channels"], blocks=arch["blocks"],
-                         branches=arch["branches"], scale=arch["scale"],
-                         global_skip=arch["global_skip"])
-    body = []
-    for b in range(cfg.blocks):
-        pair = []
-        for ci in range(2):
-            prefix = f"body{b}.conv{ci}"
-            branches = []
-            for i in range(cfg.branches):
-                casc = [ConvKernel(t[f"{prefix}.br{i}.casc{j}.w"],
-                                   t[f"{prefix}.br{i}.casc{j}.b"])
-                        for j in range(i)]
-                branches.append(Branch(casc, ConvKernel(
-                    t[f"{prefix}.br{i}.main.w"], t[f"{prefix}.br{i}.main.b"])))
-            pair.append(MultiBranchConv(cfg.channels, arch["merge"], branches))
-        body.append(tuple(pair))
-    return SRNet(cfg, head, body, tail)
+    for key in ("kind", "merge", *ARCH_FIELDS):
+        if key not in arch:
+            raise HeaderError(f"architecture header lacks {key!r}")
+    if arch["kind"] not in ("training", "fused"):
+        raise HeaderError(f"unknown architecture kind {arch['kind']!r}")
+    if arch["merge"] != "sum":
+        raise HeaderError(f"unsupported merge {arch['merge']!r} (only 'sum')")
+    for key, kind in ARCH_FIELDS.items():
+        if type(arch[key]) is not kind:
+            raise HeaderError(f"architecture {key!r} must be "
+                              f"{kind.__name__}, got {arch[key]!r}")
+    try:
+        cfg = BackboneConfig(**{key: arch[key] for key in ARCH_FIELDS})
+    except ValueError as e:
+        raise HeaderError(f"bad architecture: {e}") from None
+    try:
+        return net_from_params(cfg, container.tensors, arch["kind"] == "fused")
+    except KeyError as e:
+        raise HeaderError(f"container missing tensor {e}") from None
+    except TensorError as e:
+        raise HeaderError(f"tensors do not fit the architecture: {e}") from None
 
 
 def load_model(path):

@@ -2,9 +2,9 @@
 
 A multi-branch block holds M parallel branches; branch i applies i
 consecutive 1x1 convolutions followed by one 3x3 convolution, and the
-branch outputs are merged by summation (or channel concatenation).
-Branches contain no nonlinearity, which is what makes the block
-collapsible into a single convolution (see ``fuse``).
+branch outputs are summed. Branches contain no nonlinearity, which is
+what makes the block collapsible into a single convolution (see
+``fuse``).
 
 Border convention: the block input is zero-padded by one pixel before
 the 1x1 cascade, and the 3x3 convolution then runs without padding.
@@ -15,13 +15,21 @@ borders too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor import ChannelMismatch, ConvKernel, ShapeMismatch, Tensor4, _bicubic_resize, _conv2d, _pixel_shuffle, _relu
-
-MERGE_MODES = ("sum", "concat")
+from .tensor import (
+    ChannelMismatch,
+    ConvKernel,
+    ShapeMismatch,
+    Tensor4,
+    _bicubic_resize,
+    _conv2d,
+    _pad_const,
+    _pixel_shuffle,
+    _relu,
+)
 
 
 @dataclass(frozen=True)
@@ -50,13 +58,10 @@ class MultiBranchConv:
     """M parallel branches over shared input; branch i carries i 1x1 convs."""
 
     channels: int
-    merge: str
     branches: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(self.branches))
-        if self.merge not in MERGE_MODES:
-            raise ValueError(f"merge must be one of {MERGE_MODES}")
         if not self.branches:
             raise ValueError("need at least one branch")
         for i, br in enumerate(self.branches):
@@ -72,12 +77,6 @@ class MultiBranchConv:
     @property
     def num_branches(self) -> int:
         return len(self.branches)
-
-    @property
-    def out_channels(self) -> int:
-        if self.merge == "sum":
-            return self.channels
-        return self.channels * self.num_branches
 
 
 @dataclass(frozen=True)
@@ -116,14 +115,16 @@ class SRNet:
 
 @dataclass
 class FusedNet:
-    """Single-branch inference network; body entries are plain conv pairs."""
+    """Single-branch inference network; body entries are plain conv pairs
+    and ``config.branches`` is 1."""
 
-    channels: int
-    scale: int
-    global_skip: bool
+    config: BackboneConfig
     head: ConvKernel
     body: list  # [(ConvKernel, ConvKernel), ...]
     tail: ConvKernel
+
+    scale = SRNet.scale
+    global_skip = SRNet.global_skip
 
 
 # ---------------------------------------------------------------------------
@@ -159,32 +160,34 @@ def param_count(net) -> int:
     return sum(int(a.size) for _, a in named_params(net))
 
 
+def net_from_params(config: BackboneConfig, values: dict, fused: bool = False):
+    """Network of ``config``'s shape with its parameters read from ``values``
+    by the names ``named_params`` gives them; an SRNet, or a FusedNet when
+    ``fused``. A missing parameter raises KeyError naming it."""
+
+    def k(name):
+        return ConvKernel(values[name + ".w"], values[name + ".b"])
+
+    def conv(prefix):
+        if fused:
+            return k(prefix)
+        return MultiBranchConv(config.channels, [
+            Branch([k(f"{prefix}.br{i}.casc{j}") for j in range(i)],
+                   k(f"{prefix}.br{i}.main"))
+            for i in range(config.branches)])
+
+    head = k("head")
+    body = [(conv(f"body{b}.conv0"), conv(f"body{b}.conv1"))
+            for b in range(config.blocks)]
+    tail = k("tail")
+    if fused:
+        return FusedNet(replace(config, branches=1), head, body, tail)
+    return SRNet(config, head, body, tail)
+
+
 def rebuild_with_params(net, values: dict):
     """Copy of the network with parameter arrays replaced by ``values``."""
-
-    def k(wname):
-        return ConvKernel(values[wname], values[wname[:-2] + ".b"])
-
-    head = k("head.w")
-    tail = k("tail.w")
-    body = []
-    for bi, (c0, c1) in enumerate(net.body):
-        pair = []
-        for ci, conv in ((0, c0), (1, c1)):
-            prefix = f"body{bi}.conv{ci}"
-            if isinstance(conv, MultiBranchConv):
-                branches = []
-                for i, br in enumerate(conv.branches):
-                    casc = [k(f"{prefix}.br{i}.casc{j}.w")
-                            for j in range(len(br.cascade))]
-                    branches.append(Branch(casc, k(f"{prefix}.br{i}.main.w")))
-                pair.append(MultiBranchConv(conv.channels, conv.merge, branches))
-            else:
-                pair.append(k(f"{prefix}.w"))
-        body.append(tuple(pair))
-    if isinstance(net, SRNet):
-        return SRNet(net.config, head, body, tail)
-    return FusedNet(net.channels, net.scale, net.global_skip, head, body, tail)
+    return net_from_params(net.config, values, isinstance(net, FusedNet))
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +202,8 @@ class EagerOps:
         return _conv2d(x, w, b, padding, pad_values)
 
     @staticmethod
-    def pad_const(x, p, values=None):
-        if p == 0:
-            return x
-        bb, c, h, w = x.shape
-        if values is None:
-            out = np.zeros((bb, c, h + 2 * p, w + 2 * p), x.dtype)
-        else:
-            out = np.empty((bb, c, h + 2 * p, w + 2 * p), x.dtype)
-            out[...] = np.asarray(values, x.dtype)[None, :, None, None]
-        out[:, :, p:-p, p:-p] = x
-        return out
+    def pad_const(x, p):
+        return _pad_const(x, p)
 
     @staticmethod
     def relu(x):
@@ -242,14 +236,9 @@ class EagerOps:
         return _bicubic_resize(x, oh, ow)
 
 
-class TapeOps:
-    """Tape-backed counterpart of EagerOps; handles are tape nodes."""
-
-    def __init__(self, tape):
-        self.tape = tape
-
-    def __getattr__(self, name):
-        return getattr(self.tape, name)
+def TapeOps(tape):
+    """A Tape already has the EagerOps surface; it is passed as is."""
+    return tape
 
 
 def leaf_params(tape, net) -> dict:
@@ -258,9 +247,9 @@ def leaf_params(tape, net) -> dict:
 
 
 def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix=""):
-    """Multi-branch block forward: sum (or concat) of f_i(g_i(x)).
+    """Multi-branch block forward: sum of f_i(g_i(x)).
 
-    In sum mode the branch sum is evaluated as one convolution over the
+    The branch sum is evaluated as one convolution over the
     channel-concatenated cascade outputs with the branch kernels stacked
     along the input-channel axis; that is the same sum, just as a single
     GEMM.
@@ -276,17 +265,14 @@ def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix=""):
         zs.append(z)
     mains_w = [params[f"{prefix}{dot}br{i}.main.w"] for i in range(conv.num_branches)]
     mains_b = [params[f"{prefix}{dot}br{i}.main.b"] for i in range(conv.num_branches)]
-    if conv.merge == "sum":
-        zc = zs[0] if len(zs) == 1 else ops.concat_channels(zs)
-        wst = mains_w[0] if len(mains_w) == 1 else ops.stack_kernels(mains_w)
-        return ops.conv2d(zc, wst, ops.sum_nodes(mains_b), 0)
-    outs = [ops.conv2d(z, w, b, 0) for z, w, b in zip(zs, mains_w, mains_b)]
-    return ops.concat_channels(outs)
+    zc = zs[0] if len(zs) == 1 else ops.concat_channels(zs)
+    wst = mains_w[0] if len(mains_w) == 1 else ops.stack_kernels(mains_w)
+    return ops.conv2d(zc, wst, ops.sum_nodes(mains_b), 0)
 
 
 def net_forward(ops, net, params, x):
     """Full SR forward on either backend; clamping is the caller's business."""
-    scale = net.scale if isinstance(net, FusedNet) else net.config.scale
+    scale = net.scale
     u = ops.conv2d(x, params["head.w"], params["head.b"], 1)
     for bi, (c0, c1) in enumerate(net.body):
         if isinstance(c0, MultiBranchConv):
@@ -300,8 +286,7 @@ def net_forward(ops, net, params, x):
         u = ops.add(u, t)
     y = ops.conv2d(u, params["tail.w"], params["tail.b"], 1)
     y = ops.pixel_shuffle(y, scale)
-    skip = net.global_skip if isinstance(net, FusedNet) else net.config.global_skip
-    if skip:
+    if net.global_skip:
         _, _, h, w = x.shape
         y = ops.add(y, ops.bicubic_resize(x, h * scale, w * scale))
     return y
@@ -363,7 +348,7 @@ def build_backbone(config: BackboneConfig, seed: int = 0) -> SRNet:
             for i in range(config.branches):
                 cascade = [_init_cascade(rng, c) for _ in range(i)]
                 branches.append(Branch(cascade, _init_conv3(rng, c, c)))
-            pair.append(MultiBranchConv(c, "sum", branches))
+            pair.append(MultiBranchConv(c, branches))
         body.append(tuple(pair))
     tail = _init_conv3(rng, 3 * config.scale ** 2, c)
     return SRNet(config, head, body, tail)

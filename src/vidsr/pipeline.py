@@ -15,7 +15,6 @@ import numpy as np
 from .autodiff import Tape
 from .network import (
     BackboneConfig,
-    TapeOps,
     build_backbone,
     named_params,
     net_forward,
@@ -322,7 +321,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
             x = tape.apply_patches(
                 x, [pnodes[f"prompt{p.chunk_id}"] for p in prompts],
                 placements)
-        y = net_forward(TapeOps(tape), net, pnodes, x)
+        y = net_forward(tape, net, pnodes, x)
         loss = tape.l1_loss(y, hr_batch)
         loss_val = float(loss.value.ravel()[0])
         if it == 0:

@@ -71,21 +71,6 @@ def apply_prompt(frame: Tensor4, prompt: VisualPrompt) -> Tensor4:
     return Tensor4(out)
 
 
-def prompt_gradient(upstream: Tensor4, prompt: VisualPrompt) -> np.ndarray:
-    """Gradient of the loss w.r.t. the prompt given d(loss)/d(prompted frame).
-
-    The addition is an identity map on the region, so the gradient is the
-    upstream restricted to the region, summed over the batch (all frames
-    of the chunk present in it).
-    """
-    _, c, h, w = upstream.dims
-    if c != prompt.channels:
-        raise ShapeMismatch(f"upstream has {c} channels, prompt {prompt.channels}")
-    dy, dx = centered_offsets(h, w, prompt.size_h, prompt.size_w)
-    region = upstream.data[:, :, dy:dy + prompt.size_h, dx:dx + prompt.size_w]
-    return np.ascontiguousarray(region.sum(axis=0))
-
-
 def patch_placement(prompt: VisualPrompt, frame_h: int, frame_w: int,
                     patch_y: int, patch_x: int, patch_h: int, patch_w: int):
     """Overlap of the prompt region with a patch cut from the frame.

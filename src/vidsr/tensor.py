@@ -247,6 +247,14 @@ def _conv2d_grad_input(gy, w, padding, in_shape):
     return out
 
 
+def _pad_const(x, p):
+    """Zero-pad the two spatial axes of an NCHW array by p on every side."""
+    bb, c, h, w = x.shape
+    out = np.zeros((bb, c, h + 2 * p, w + 2 * p), x.dtype)
+    out[:, :, p:p + h, p:p + w] = x
+    return out
+
+
 def _pixel_shuffle(x, r):
     b, c, h, w = x.shape
     co = c // (r * r)
@@ -335,24 +343,6 @@ def conv2d(x: Tensor4, kernel: ConvKernel, padding: int,
     return Tensor4(y)
 
 
-def pixel_shuffle(x: Tensor4, r: int) -> Tensor4:
-    """Depth-to-space: (B, C, H, W) -> (B, C/r^2, H*r, W*r)."""
-    if r < 1:
-        raise ShapeMismatch("shuffle factor must be positive")
-    c = x.dims[1]
-    if c % (r * r) != 0:
-        raise ChannelMismatch(f"{c} channels not divisible by r^2={r * r}")
-    return Tensor4(_pixel_shuffle(x.data, r))
-
-
-def pixel_unshuffle(x: Tensor4, r: int) -> Tensor4:
-    """Space-to-depth inverse of pixel_shuffle."""
-    _, c, h, w = x.dims
-    if h % r or w % r:
-        raise ShapeMismatch(f"dims ({h},{w}) not divisible by {r}")
-    return Tensor4(_pixel_unshuffle(x.data, r))
-
-
 def bicubic_resize(x: Tensor4, scale) -> Tensor4:
     """Cubic resampling (a=-0.5, half-pixel centers, clamped borders)."""
     frac = Fraction(scale).limit_denominator(64)
@@ -367,29 +357,6 @@ def bicubic_resize(x: Tensor4, scale) -> Tensor4:
     if frac == 1:
         return x
     return Tensor4(_bicubic_resize(x.data, oh, ow))
-
-
-def _check_same_dims(a: Tensor4, b: Tensor4):
-    if a.dims != b.dims:
-        raise ShapeMismatch(f"dims {a.dims} vs {b.dims}")
-
-
-def add(a: Tensor4, b: Tensor4) -> Tensor4:
-    _check_same_dims(a, b)
-    return Tensor4(a.data + b.data)
-
-
-def sub(a: Tensor4, b: Tensor4) -> Tensor4:
-    _check_same_dims(a, b)
-    return Tensor4(a.data - b.data)
-
-
-def mul_scalar(a: Tensor4, s: float) -> Tensor4:
-    return Tensor4(a.data * np.float32(s))
-
-
-def relu(a: Tensor4) -> Tensor4:
-    return Tensor4(_relu(a.data))
 
 
 def clamp01(a: Tensor4) -> Tensor4:

@@ -34,15 +34,6 @@ class TestBackwardBasics:
         with pytest.raises(ShapeMismatch):
             t.backward(x)
 
-    def test_replay_reproduces_outputs(self):
-        t = Tape()
-        x = t.leaf(rnd((1, 2, 6, 6), 3))
-        w = t.leaf(rnd((2, 2, 3, 3), 4))
-        b = t.leaf(rnd((2,), 5))
-        y = t.relu(t.conv2d(x, w, b, padding=1))
-        t.sum_all(t.square(y))
-        assert t.replay_matches()
-
     def test_backward_calls_no_forward_conv(self, monkeypatch):
         # one _conv2d call per conv node: the backward kernels share
         # helpers with the forward but never call it
@@ -154,7 +145,7 @@ class TestPrimitiveGradients:
 
     def test_pad_const(self):
         def f(t, x):
-            return t.sum_all(t.square(t.pad_const(x, 1, [0.5, -0.5])))
+            return t.sum_all(t.square(t.pad_const(x, 1)))
 
         assert finite_diff_check(f, rnd((1, 2, 3, 3), 24)) <= 1e-3
 

@@ -4,7 +4,10 @@ import re
 import numpy as np
 import pytest
 
+from vidsr import model_io
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from vidsr.network import BackboneConfig, build_backbone
+from vidsr.prompt import make_prompt
 
 
 @pytest.fixture()
@@ -158,3 +161,62 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "VIDSR_SEED" in err
+
+
+class TestMalformedInputs:
+    """Each malformed input ends in its documented exit code with one
+    line on stderr and no traceback."""
+
+    @staticmethod
+    def one_line(capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @staticmethod
+    def save_toy_model(path, scale=2, prompts=0):
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=3,
+                                            scale=scale), seed=0)
+        model_io.save_model(path, net, [make_prompt(k, 4) for k in range(prompts)])
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("channels", None, "lacks 'channels'"),
+        ("merge", None, "lacks 'merge'"),
+        ("branches", 4, "br3"),            # the tensors hold 3 branches
+        ("merge", "concat", "'concat'"),
+        ("kind", "other", "'other'"),
+        ("scale", 5, "scale"),
+        ("blocks", "1", "'blocks'"),
+    ])
+    def test_bad_arch_is_one_line_input_error(self, workspace, capsys, key,
+                                              value, message):
+        path = workspace / "m.rcam"
+        self.save_toy_model(path)
+        c = model_io.load_container(path)
+        arch = dict(c.header["arch"])
+        if value is None:
+            del arch[key]
+        else:
+            arch[key] = value
+        model_io.save_container(path, model_io.ModelContainer(
+            {**c.header, "arch": arch}, c.tensors))
+        capsys.readouterr()
+        assert run("fuse", "--model", path, "--out", workspace / "f.rcam") == EXIT_USAGE
+        assert message in self.one_line(capsys)
+
+    @pytest.mark.parametrize("scale,prompts,message", [
+        (2, 2, "x2"),        # x2 model on x3 data
+        (3, 2, "2 prompts"),  # right scale, one prompt short of 3 chunks
+    ])
+    def test_infer_rejects_mismatched_model(self, synth_video, capsys,
+                                            scale, prompts, message):
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 3) == EXIT_OK
+        self.save_toy_model(ws / "m.rcam", scale=scale, prompts=prompts)
+        capsys.readouterr()
+        assert run("infer", "--model", ws / "m.rcam", "--chunked",
+                   ws / "chunked", "--out", ws / "sr") == EXIT_VALIDATION
+        assert message in self.one_line(capsys)
+        assert not (ws / "sr").exists()

@@ -35,19 +35,19 @@ def identity1(c):
                       np.zeros(c, np.float32))
 
 
-def random_mbconv(c, m, seed, merge="sum"):
+def random_mbconv(c, m, seed):
     branches = []
     for i in range(m):
         cascade = [kern1(c, seed + 10 * i + j) for j in range(i)]
         branches.append(Branch(cascade, kern3(c, c, seed + 100 + i)))
-    return MultiBranchConv(c, merge, branches)
+    return MultiBranchConv(c, branches)
 
 
 class TestMultiBranchForward:
     def test_single_bare_branch_equals_plain_conv(self):
         c = 4
         k = kern3(c, c, 1)
-        mb = MultiBranchConv(c, "sum", [Branch((), k)])
+        mb = MultiBranchConv(c, [Branch((), k)])
         x = Tensor4.from_array(rnd((1, c, 6, 6), 2))
         got = mbconv_forward(mb, x)
         want = T.conv2d(x, k, padding=1)
@@ -57,7 +57,7 @@ class TestMultiBranchForward:
         c = 3
         f0 = kern3(c, c, 3)
         f1 = kern3(c, c, 4)
-        mb = MultiBranchConv(c, "sum", [Branch((), f0), Branch((identity1(c),), f1)])
+        mb = MultiBranchConv(c, [Branch((), f0), Branch((identity1(c),), f1)])
         x = Tensor4.from_array(rnd((2, c, 5, 7), 5))
         got = mbconv_forward(mb, x)
         want = T.conv2d(x, f0, 1).data + T.conv2d(x, f1, 1).data
@@ -69,19 +69,13 @@ class TestMultiBranchForward:
             x = Tensor4.from_array(rnd((1, c, h, w), 6))
             assert mbconv_forward(mb, x).dims == x.dims
 
-    def test_concat_mode_widens_channels(self):
-        mb = random_mbconv(3, 2, seed=30, merge="concat")
-        x = Tensor4.from_array(rnd((1, 3, 4, 4), 7))
-        y = mbconv_forward(mb, x)
-        assert y.dims == (1, 6, 4, 4)
-
     def test_branch_linearity_zero_bias(self):
         c = 4
         branches = []
         for i in range(3):
             cascade = [kern1(c, 40 + 10 * i + j, bias=False) for j in range(i)]
             branches.append(Branch(cascade, kern3(c, c, 50 + i, bias=False)))
-        mb = MultiBranchConv(c, "sum", branches)
+        mb = MultiBranchConv(c, branches)
         x = rnd((1, c, 6, 6), 8)
         y = rnd((1, c, 6, 6), 9)
         a, b = 0.6, -1.1
@@ -96,7 +90,7 @@ class TestMultiBranchForward:
         zero_main = ConvKernel(np.zeros((c, c, 3, 3), np.float32),
                                np.zeros(c, np.float32))
         extra = Branch([kern1(c, 61), kern1(c, 62)], zero_main)
-        grown = MultiBranchConv(c, "sum", list(mb.branches) + [extra])
+        grown = MultiBranchConv(c, list(mb.branches) + [extra])
         x = Tensor4.from_array(rnd((1, c, 5, 5), 63))
         np.testing.assert_allclose(mbconv_forward(grown, x).data,
                                    mbconv_forward(mb, x).data, atol=1e-6)
@@ -110,7 +104,7 @@ class TestMultiBranchForward:
         c = 2
         with pytest.raises(T.ShapeMismatch):
             # branch 0 may not carry a cascade kernel
-            MultiBranchConv(c, "sum", [Branch((identity1(c),), kern3(c, c, 71))])
+            MultiBranchConv(c, [Branch((identity1(c),), kern3(c, c, 71))])
 
 
 def expected_param_count(config: BackboneConfig) -> int:
@@ -164,6 +158,20 @@ class TestBackbone:
         net = build_backbone(cfg, seed=1)
         x = Tensor4.from_array(np.random.default_rng(4).random((1, 3, 24, 24)))
         assert sr_forward(net, x).dims == (1, 3, 48, 48)
+
+    def test_rebuild_keeps_kind_and_parameters(self):
+        from vidsr.fuse import fuse_network
+        from vidsr.network import FusedNet, SRNet, rebuild_with_params
+        net = build_backbone(BackboneConfig(channels=4, blocks=2, branches=3,
+                                            scale=3), seed=6)
+        for src, kind in ((net, SRNet), (fuse_network(net), FusedNet)):
+            params = dict(named_params(src))
+            again = rebuild_with_params(src, params)
+            assert type(again) is kind and again.config == src.config
+            got = dict(named_params(again))
+            assert list(got) == list(params)
+            for name, arr in params.items():
+                assert got[name].tobytes() == arr.tobytes()
 
     def test_names_are_unique_and_ordered(self):
         cfg = BackboneConfig(channels=4, blocks=2, branches=3, scale=2)

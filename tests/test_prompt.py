@@ -4,7 +4,6 @@ import pytest
 from vidsr.autodiff import Tape
 from vidsr.network import (
     BackboneConfig,
-    TapeOps,
     build_backbone,
     leaf_params,
     net_forward,
@@ -16,7 +15,6 @@ from vidsr.prompt import (
     centered_offsets,
     make_prompt,
     patch_placement,
-    prompt_gradient,
 )
 from vidsr.tensor import ShapeMismatch, Tensor4
 
@@ -59,26 +57,36 @@ class TestApply:
             apply_prompt(Tensor4.zeros(1, 3, 4, 4), make_prompt(0, 8))
 
 
+def prompt_grad(upstream, size):
+    """Prompt gradient of Tape.apply_patches, for a prompt of the given size
+    placed at the centre of every frame in the batch, given d(loss)/d(prompted
+    frame). With a zero prompt, y = upstream, and loss = sum(y^2)/2 has
+    exactly that gradient at y."""
+    b, _, h, w = upstream.shape
+    dy, dx = centered_offsets(h, w, size, size)
+    tape = Tape()
+    p = tape.leaf(make_prompt(0, size).values)
+    y = tape.apply_patches(tape.leaf(upstream), [p],
+                           [(0, bi, dy, dx, 0, 0, size, size) for bi in range(b)])
+    loss = tape.mul_scalar(tape.sum_all(tape.square(y)), 0.5)
+    return tape.backward(loss)[p.id]
+
+
 class TestGradient:
     def test_identity_jacobian(self):
-        p = make_prompt(0, 2)
-        up = Tensor4.from_array(np.ones((1, 3, 6, 6), np.float32))
-        g = prompt_gradient(up, p)
+        g = prompt_grad(np.ones((1, 3, 6, 6), np.float32), 2)
         np.testing.assert_array_equal(g, np.ones((3, 2, 2), np.float32))
 
     def test_restriction_to_region(self):
-        p = make_prompt(0, 2)
-        up = np.zeros((1, 3, 6, 6), np.float32)
+        up = rnd((1, 3, 6, 6), 2) + 1.0  # nonzero outside the region too
         inside = rnd((3, 2, 2), 3)
         up[0, :, 2:4, 2:4] = inside
-        g = prompt_gradient(Tensor4.from_array(up), p)
-        np.testing.assert_array_equal(g, inside)
+        np.testing.assert_array_equal(prompt_grad(up, 2), inside)
 
     def test_batch_accumulation(self):
-        p = make_prompt(0, 2)
         up = rnd((4, 3, 6, 6), 4)
-        g = prompt_gradient(Tensor4.from_array(up), p)
-        np.testing.assert_allclose(g, up[:, :, 2:4, 2:4].sum(0), atol=1e-6)
+        np.testing.assert_allclose(prompt_grad(up, 2), up[:, :, 2:4, 2:4].sum(0),
+                                   atol=1e-6)
 
 
 class TestPatchPlacement:
@@ -116,7 +124,7 @@ class TestThroughNetwork:
         sh = values.shape[1]
         dy, dx = centered_offsets(frame.shape[2], frame.shape[3], sh, sh)
         prompted = tape.apply_patches(x, [p], [(0, 0, dy, dx, 0, 0, sh, sh)])
-        y = net_forward(TapeOps(tape), net, params, prompted)
+        y = net_forward(tape, net, params, prompted)
         loss = tape.l1_loss(y, target)
         return tape.backward(loss)[p.id]
 
@@ -146,7 +154,7 @@ class TestThroughNetwork:
             params = leaf_params(tape, net)
             x = tape.leaf(frame)
             prompted = tape.apply_patches(x, [p], [(0, 0, 2, 2, 0, 0, 4, 4)])
-            y = net_forward(TapeOps(tape), net, params, prompted)
+            y = net_forward(tape, net, params, prompted)
             return tape.l1_loss(y, target)
 
         assert finite_diff_check(f, rnd((3, 4, 4), 11) - 0.5) <= 1e-3

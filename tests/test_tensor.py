@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vidsr import tensor as T
+from vidsr.autodiff import Tape
 
 from oracles import bicubic_oracle, conv2d_oracle
 
@@ -132,26 +133,28 @@ class TestConvAdjoints:
 
 class TestPixelShuffle:
     def test_definition_2x2(self):
-        x = t4(np.array([1., 2., 3., 4.]).reshape(1, 4, 1, 1))
-        y = T.pixel_shuffle(x, 2)
-        np.testing.assert_array_equal(y.data[0, 0], [[1, 2], [3, 4]])
+        x = np.array([1., 2., 3., 4.], np.float32).reshape(1, 4, 1, 1)
+        y = T._pixel_shuffle(x, 2)
+        np.testing.assert_array_equal(y[0, 0], [[1, 2], [3, 4]])
 
     def test_r1_identity(self):
-        x = t4(np.random.default_rng(0).random((2, 3, 4, 4)))
-        np.testing.assert_array_equal(T.pixel_shuffle(x, 1).data, x.data)
+        x = np.random.default_rng(0).random((2, 3, 4, 4)).astype(np.float32)
+        np.testing.assert_array_equal(T._pixel_shuffle(x, 1), x)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(11)
-        x = t4(rng.random((2, 8, 3, 3)))
-        y = T.pixel_shuffle(x, 2)
-        back = T.pixel_unshuffle(y, 2)
-        np.testing.assert_array_equal(back.data, x.data)
+        x = rng.random((2, 8, 3, 3)).astype(np.float32)
+        y = T._pixel_shuffle(x, 2)
+        assert y.shape == (2, 2, 6, 6)
+        np.testing.assert_array_equal(T._pixel_unshuffle(y, 2), x)
         # bijective: element multiset preserved
-        assert sorted(y.data.ravel()) == sorted(x.data.ravel())
+        assert sorted(y.ravel()) == sorted(x.ravel())
 
     def test_indivisible_rejected(self):
-        with pytest.raises(T.ChannelMismatch):
-            T.pixel_shuffle(t4(np.zeros((1, 3, 2, 2))), 2)
+        # channels not divisible by r^2 cannot be reshaped; nothing is
+        # silently dropped
+        with pytest.raises(ValueError):
+            T._pixel_shuffle(np.zeros((1, 3, 2, 2), np.float32), 2)
 
 
 class TestBicubic:
@@ -213,28 +216,34 @@ class TestBicubic:
 
 
 class TestElementwise:
+    """Elementwise arithmetic lives on the tape (and as plain numpy in
+    EagerOps); these check the forward values the tape records."""
+
     def test_add_zero(self):
-        x = t4(np.random.default_rng(2).random((1, 2, 3, 3)))
-        z = T.Tensor4.zeros(1, 2, 3, 3)
-        np.testing.assert_array_equal(T.add(x, z).data, x.data)
+        t = Tape()
+        x = t.leaf(np.random.default_rng(2).random((1, 2, 3, 3)))
+        z = t.leaf(np.zeros((1, 2, 3, 3)))
+        np.testing.assert_array_equal(t.add(x, z).value, x.value)
 
     def test_relu(self):
-        x = t4(np.array([-1.0, 2.0]).reshape(1, 1, 1, 2))
-        np.testing.assert_array_equal(T.relu(x).data.ravel(), [0, 2])
+        x = np.array([-1.0, 2.0], np.float32).reshape(1, 1, 1, 2)
+        np.testing.assert_array_equal(T._relu(x).ravel(), [0, 2])
 
     def test_clamp01(self):
         x = t4(np.array([-0.5, 0.3, 1.7]).reshape(1, 1, 1, 3))
         np.testing.assert_allclose(T.clamp01(x).data.ravel(), [0, 0.3, 1], atol=1e-7)
 
     def test_sub_mul(self):
-        x = t4(np.full((1, 1, 2, 2), 3.0))
-        y = t4(np.full((1, 1, 2, 2), 1.0))
-        np.testing.assert_array_equal(T.sub(x, y).data, np.full((1, 1, 2, 2), 2.0))
-        np.testing.assert_array_equal(T.mul_scalar(x, 2.0).data, np.full((1, 1, 2, 2), 6.0))
+        t = Tape()
+        x = t.leaf(np.full((1, 1, 2, 2), 3.0))
+        y = t.leaf(np.full((1, 1, 2, 2), 1.0))
+        np.testing.assert_array_equal(t.sub(x, y).value, np.full((1, 1, 2, 2), 2.0))
+        np.testing.assert_array_equal(t.mul_scalar(x, 2.0).value, np.full((1, 1, 2, 2), 6.0))
 
     def test_dim_mismatch_rejected(self):
+        t = Tape()
         with pytest.raises(T.ShapeMismatch):
-            T.add(T.Tensor4.zeros(1, 1, 2, 2), T.Tensor4.zeros(1, 1, 2, 3))
+            t.add(t.leaf(np.zeros((1, 1, 2, 2))), t.leaf(np.zeros((1, 1, 2, 3))))
 
 
 class TestTensor4:
