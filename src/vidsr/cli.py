@@ -48,6 +48,10 @@ class UsageError(Exception):
     pass
 
 
+class InputError(Exception):
+    """A malformed input file (exit 1, like a bad container or frame)."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
@@ -94,8 +98,31 @@ def _write_records(path, records):
 
 
 def _load_chunk_dir(path: Path):
-    meta = json.loads((path / "chunks.json").read_text())
+    """chunks.json plus the LR frames; boundaries are checked to be
+    ``chunks`` int [lo, hi) pairs that tile the frames in order."""
+    meta_path = path / "chunks.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InputError(f"{meta_path}: not JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise InputError(f"{meta_path}: not a JSON object")
+    for key in ("chunks", "scale"):
+        if type(meta.get(key)) is not int or meta[key] < 1:
+            raise InputError(f"{meta_path}: {key!r} must be a positive int, "
+                             f"got {meta.get(key)!r}")
+    bounds = meta.get("boundaries")
+    if not (isinstance(bounds, list) and len(bounds) == meta["chunks"] and all(
+            isinstance(b, list) and len(b) == 2
+            and all(type(v) is int for v in b) for b in bounds)):
+        raise InputError(f"{meta_path}: 'boundaries' must be {meta['chunks']} "
+                         f"int [lo, hi] pairs, got {bounds!r}")
     frames = model_io.read_frames(path / "lr")
+    edges = [0] + [hi for _, hi in bounds]
+    if [lo for lo, _ in bounds] != edges[:-1] or edges[-1] != len(frames) \
+            or any(lo >= hi for lo, hi in bounds):
+        raise InputError(f"{meta_path}: boundaries {bounds} do not tile the "
+                         f"{len(frames)} LR frames")
     return meta, frames
 
 
@@ -249,12 +276,12 @@ def _infer_one(net, prompts_by_chunk, meta, frames, idx):
 def cmd_infer(args) -> int:
     net, prompts, _ = model_io.load_model(args.model)
     meta, frames = _load_chunk_dir(Path(args.chunked))
-    if net.scale != meta.get("scale"):
+    if net.scale != meta["scale"]:
         raise ValueError(f"model upscales x{net.scale}, chunks.json says "
-                         f"x{meta.get('scale')}")
-    if len(prompts) not in (0, meta.get("chunks")):
+                         f"x{meta['scale']}")
+    if len(prompts) not in (0, meta["chunks"]):
         raise ValueError(f"model carries {len(prompts)} prompts, chunks.json "
-                         f"has {meta.get('chunks')} chunks")
+                         f"has {meta['chunks']} chunks")
     prompts_by_chunk = {p.chunk_id: p for p in prompts}
     out = Path(args.out)
     indices = range(len(frames))
@@ -283,11 +310,13 @@ def cmd_eval(args) -> int:
     hr = model_io.read_frames(Path(args.hr))
     if len(sr) != len(hr):
         raise UsageError(f"frame count mismatch: {len(sr)} SR vs {len(hr)} HR")
+    if sr[0].shape != hr[0].shape:
+        raise UsageError(f"frame dims differ: SR {sr[0].shape[1]}x{sr[0].shape[2]}"
+                         f" vs HR {hr[0].shape[1]}x{hr[0].shape[2]}")
     lr = model_io.read_frames(Path(args.lr)) if args.lr else None
 
     def one(i):
-        a = sr[i]
-        b = hr[i][:, :a.shape[1], :a.shape[2]]
+        a, b = sr[i], hr[i]
         if args.quantize_8bit:
             a, b = _quantize(a), _quantize(b)
         rec = {"frame": i,
@@ -466,7 +495,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         _log(f"usage error: {e}")
         return EXIT_USAGE
-    except (FileNotFoundError, model_io.ContainerError,
+    except (FileNotFoundError, InputError, model_io.ContainerError,
             model_io.FrameError) as e:
         _log(f"input error: {e}")
         return EXIT_USAGE

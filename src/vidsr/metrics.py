@@ -5,12 +5,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import ShapeMismatch, Tensor4, bicubic_resize
+from .tensor import ShapeMismatch, Tensor4, _band_apply, _band_blocks, bicubic_resize
 
 MB = 10 ** 6
 
@@ -18,6 +18,15 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+SSIM_STRIP = 32   # SSIM output rows filtered and reduced at a time
+
+
+def _mse(a, b) -> float:
+    """Mean squared difference of two float32 arrays, in float64 where their
+    difference is exact, reduced by one dot product."""
+    d = a.astype(np.float64).ravel()
+    d -= b.ravel()
+    return float(np.dot(d, d)) / d.size
 
 
 def psnr(a: Tensor4, b: Tensor4) -> float:
@@ -27,7 +36,7 @@ def psnr(a: Tensor4, b: Tensor4) -> float:
     """
     if a.dims != b.dims:
         raise ShapeMismatch(f"psnr: dims {a.dims} vs {b.dims}")
-    mse = np.mean((np.asarray(a.data, np.float64) - b.data) ** 2)
+    mse = _mse(a.data, b.data)
     if mse == 0:
         return math.inf
     return float(10.0 * np.log10(1.0 / mse))
@@ -40,41 +49,59 @@ def _gaussian_window(n=SSIM_WINDOW, sigma=SSIM_SIGMA):
     return g
 
 
-def _filter_valid(img, g):
-    """Separable valid-mode correlation of a 2-D image with outer(g, g)."""
-    n = g.size
-    rows = sliding_window_view(img, n, axis=1) @ g
-    return np.ascontiguousarray(
-        sliding_window_view(rows, n, axis=0) @ g)
+@lru_cache(maxsize=16)
+def _window_matrix(n_in: int) -> np.ndarray:
+    """(n_in - n + 1, n_in) matrix of the valid correlation with the window."""
+    g = _gaussian_window()
+    m = np.zeros((n_in - g.size + 1, n_in))
+    for i in range(m.shape[0]):
+        m[i, i:i + g.size] = g
+    m.setflags(write=False)
+    return m
+
+
+@lru_cache(maxsize=16)
+def _window_blocks(n_in: int):
+    return _band_blocks(_window_matrix(n_in), np.float64)
 
 
 def ssim(a: Tensor4, b: Tensor4) -> float:
     """Mean local SSIM on the grayscale (channel-mean) images.
 
     11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, dynamic range 1.
+    The moment maps x, y, x^2+y^2 and xy (SSIM only needs var_x + var_y)
+    are filtered as one stacked float64 array, SSIM_STRIP output rows at
+    a time: one GEMM down the columns, then the banded row filter.
     """
     if a.dims != b.dims:
         raise ShapeMismatch(f"ssim: dims {a.dims} vs {b.dims}")
     _, _, h, w = a.dims
-    if h < SSIM_WINDOW or w < SSIM_WINDOW:
+    n = SSIM_WINDOW
+    if h < n or w < n:
         raise ShapeMismatch(
-            f"image ({h}x{w}) smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
-    g = _gaussian_window()
+            f"image ({h}x{w}) smaller than the {n}x{n} window")
+    ho, wo = h - n + 1, w - n + 1
+    cols = _window_matrix(SSIM_STRIP + n - 1)
+    rows = _window_blocks(w)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
-    scores = []
-    for n in range(a.dims[0]):
-        x = np.asarray(a.data[n], np.float64).mean(axis=0)
-        y = np.asarray(b.data[n], np.float64).mean(axis=0)
-        mu_x = _filter_valid(x, g)
-        mu_y = _filter_valid(y, g)
-        var_x = _filter_valid(x * x, g) - mu_x ** 2
-        var_y = _filter_valid(y * y, g) - mu_y ** 2
-        cov = _filter_valid(x * y, g) - mu_x * mu_y
-        num = (2 * mu_x * mu_y + c1) * (2 * cov + c2)
-        den = (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
-        scores.append(np.mean(num / den))
-    return float(np.mean(scores))
+    total = 0.0
+    for i in range(a.dims[0]):
+        x = a.data[i].mean(axis=0, dtype=np.float64)
+        y = b.data[i].mean(axis=0, dtype=np.float64)
+        for r in range(0, ho, SSIM_STRIP):
+            s = min(SSIM_STRIP, ho - r)
+            xs, ys = x[r:r + s + n - 1], y[r:r + s + n - 1]
+            m = np.stack([xs, ys, xs * xs + ys * ys, xs * ys], axis=1)
+            m = cols[:s, :s + n - 1] @ m.reshape(s + n - 1, 4 * w)
+            mu_x, mu_y, e2, exy = _band_apply(
+                m.reshape(4 * s, w), rows, wo, -1).reshape(s, 4, wo).transpose(1, 0, 2)
+            mxy = mu_x * mu_y
+            m2 = mu_x * mu_x + mu_y * mu_y
+            num = (2 * mxy + c1) * (2 * (exy - mxy) + c2)
+            den = (m2 + c1) * (e2 - m2 + c2)
+            total += float((num / den).sum())
+    return total / (a.dims[0] * ho * wo)
 
 
 def consistency(lr: Tensor4, sr: Tensor4, scale: int) -> float:
@@ -88,8 +115,7 @@ def consistency(lr: Tensor4, sr: Tensor4, scale: int) -> float:
         down = bicubic_resize(sr, Fraction(1, scale))
     if down.dims != lr.dims:
         raise ShapeMismatch(f"consistency: {down.dims} vs {lr.dims}")
-    mse = np.mean((np.asarray(lr.data, np.float64) - down.data) ** 2)
-    return float(mse * 10.0)
+    return _mse(lr.data, down.data) * 10.0
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,14 @@ def load_container(path) -> ModelContainer:
     manifest = header.get("manifest")
     if not isinstance(manifest, list):
         raise HeaderError(f"{path}: header lacks a tensor manifest")
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise HeaderError(f"{path}: manifest entry {i} lacks a tensor name")
+        dims = entry.get("dims")
+        if not (isinstance(dims, list)
+                and all(type(d) is int and d >= 0 for d in dims)):
+            raise HeaderError(f"{path}: manifest entry {entry['name']!r} "
+                              f"lacks int dims, got {dims!r}")
     counts = [int(np.prod(entry["dims"])) for entry in manifest]
     payload_len = sum(counts) * 4
     start = 10 + hlen
@@ -183,11 +191,24 @@ def load_model(path):
     """Returns (net, prompts, header). Self-describing; no extra config."""
     container = load_container(path)
     net = _net_from_container(container)
-    prompts = [
-        VisualPrompt(entry["chunk_id"],
-                     container.tensors[f"prompt{entry['chunk_id']}"])
-        for entry in container.header.get("prompts", [])
-    ]
+    entries = container.header.get("prompts", [])
+    if not isinstance(entries, list):
+        raise HeaderError(f"{path}: 'prompts' must be a list")
+    prompts = []
+    for i, entry in enumerate(entries):
+        cid = entry.get("chunk_id") if isinstance(entry, dict) else None
+        if type(cid) is not int:
+            raise HeaderError(f"{path}: prompt entry {i} lacks an int chunk_id")
+        values = container.tensors.get(f"prompt{cid}")
+        if values is None:
+            raise HeaderError(f"{path}: container missing tensor 'prompt{cid}'")
+        if entry.get("dims") != list(values.shape):
+            raise HeaderError(f"{path}: prompt {cid} dims {entry.get('dims')!r} "
+                              f"differ from its tensor's {list(values.shape)}")
+        try:
+            prompts.append(VisualPrompt(cid, values))
+        except TensorError as e:
+            raise HeaderError(f"{path}: prompt {cid}: {e}") from None
     return net, prompts, container.header
 
 

@@ -279,7 +279,6 @@ def _cubic_weight(t: float) -> float:
     return 0.0
 
 
-@lru_cache(maxsize=64)
 def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
     """(n_out, n_in) cubic interpolation matrix, half-pixel centers,
     border taps clamped (clamped taps fold their weight onto the edge)."""
@@ -290,23 +289,58 @@ def _resize_matrix(n_in: int, n_out: int) -> np.ndarray:
         for tap in range(base - 1, base + 3):
             wgt = _cubic_weight(src - tap)
             m[dst, min(max(tap, 0), n_in - 1)] += wgt
-    m.setflags(write=False)
     return m
+
+
+# A banded (n_out, n_in) matrix is applied in row blocks of at most
+# BAND_BLOCK outputs, each one GEMM over only the input span [a, b) that
+# its nonzeros cover: about BAND_BLOCK/scale + taps inputs per output
+# instead of n_in. A matrix with at most BAND_BLOCK rows is one block.
+BAND_BLOCK = 64
+
+
+def _band_blocks(m, dtype):
+    """Split a banded matrix into (lo, hi, a, b, m[lo:hi, a:b]) row blocks."""
+    blocks = []
+    for lo in range(0, m.shape[0], BAND_BLOCK):
+        rows = m[lo:lo + BAND_BLOCK]
+        nz = np.flatnonzero(rows.any(axis=0))
+        a, b = int(nz[0]), int(nz[-1]) + 1
+        mb = np.array(rows[:, a:b], dtype)
+        mb.setflags(write=False)
+        blocks.append((lo, lo + rows.shape[0], a, b, mb))
+    return tuple(blocks)
+
+
+def _band_apply(x, blocks, n_out, axis):
+    """Multiply the banded matrix of ``blocks`` into axis -1 or -2 of x."""
+    shape = list(x.shape)
+    shape[axis] = n_out
+    y = np.empty(shape, x.dtype)
+    if axis == -1:
+        x2 = x.reshape(-1, x.shape[-1])
+        y2 = y.reshape(-1, n_out)
+        for lo, hi, a, b, mb in blocks:
+            np.matmul(x2[:, a:b], mb.T, out=y2[:, lo:hi])
+    else:
+        for lo, hi, a, b, mb in blocks:
+            np.matmul(mb, x[..., a:b, :], out=y[..., lo:hi, :])
+    return y
+
+
+@lru_cache(maxsize=64)
+def _resize_blocks(n_in: int, n_out: int, transpose: bool, dtype):
+    """Band blocks of the n_in -> n_out resize, or with transpose of the
+    adjoint of the n_out -> n_in resize."""
+    m = _resize_matrix(n_out, n_in).T if transpose else _resize_matrix(n_in, n_out)
+    return _band_blocks(m, dtype)
 
 
 def _bicubic_resize(x, out_h, out_w, transpose=False):
     """Separable cubic resize; transpose=True applies the adjoint operator."""
-    b, c, h, w = x.shape
-    if transpose:
-        mh = _resize_matrix(out_h, h).T
-        mw = _resize_matrix(out_w, w).T
-    else:
-        mh = _resize_matrix(h, out_h)
-        mw = _resize_matrix(w, out_w)
-    mh = np.asarray(mh, x.dtype)
-    mw = np.asarray(mw, x.dtype)
-    t = np.matmul(x, mw.T)       # (B,C,H,out_w)
-    return np.matmul(mh, t)      # (B,C,out_h,out_w)
+    h, w = x.shape[-2:]
+    t = _band_apply(x, _resize_blocks(w, out_w, transpose, x.dtype), out_w, -1)
+    return _band_apply(t, _resize_blocks(h, out_h, transpose, x.dtype), out_h, -2)
 
 
 def _relu(x):

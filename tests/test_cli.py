@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -220,3 +221,70 @@ class TestMalformedInputs:
                    ws / "chunked", "--out", ws / "sr") == EXIT_VALIDATION
         assert message in self.one_line(capsys)
         assert not (ws / "sr").exists()
+
+    @staticmethod
+    def edit_header(path, edit):
+        """Rewrite a container's JSON header in place, payload untouched."""
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw, 6)
+        header = json.loads(raw[10:10 + hlen])
+        edit(header)
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob
+                         + raw[10 + hlen:])
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["manifest"][0].pop("dims"), "lacks int dims"),
+        (lambda h: h["manifest"][1].pop("name"), "entry 1 lacks a tensor name"),
+        (lambda h: h["prompts"][0].pop("chunk_id"), "lacks an int chunk_id"),
+        (lambda h: h["prompts"][1].update(chunk_id=5), "'prompt5'"),
+        (lambda h: h["prompts"][0].pop("dims"), "prompt 0 dims None"),
+    ], ids=["manifest-no-dims", "manifest-no-name", "prompt-no-chunk-id",
+            "prompt-tensor-absent", "prompt-no-dims"])
+    def test_bad_container_entry_is_one_line_input_error(self, workspace, capsys,
+                                                         edit, message):
+        path = workspace / "m.rcam"
+        self.save_toy_model(path, prompts=2)
+        self.edit_header(path, edit)
+        capsys.readouterr()
+        assert run("fuse", "--model", path, "--out", workspace / "f.rcam") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize("command", ["infer", "cost-report"])
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: m.pop("boundaries"), "'boundaries' must be 3 int"),
+        (lambda m: m["boundaries"][1].__setitem__(1, "4"), "'boundaries' must be 3 int"),
+        (lambda m: m["boundaries"][2].__setitem__(1, 5), "do not tile the 6 LR frames"),
+        (lambda m: m.update(scale="2"), "'scale' must be a positive int"),
+        (lambda m: m.pop("chunks"), "'chunks' must be a positive int"),
+    ], ids=["no-boundaries", "str-bound", "gap-at-end", "str-scale", "no-chunks"])
+    def test_bad_chunks_json_is_one_line_input_error(self, synth_video, capsys,
+                                                     command, edit, message):
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        meta_path = ws / "chunked" / "chunks.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        self.save_toy_model(ws / "m.rcam", prompts=3)
+        capsys.readouterr()
+        out = ["--out", ws / "sr"] if command == "infer" else []
+        assert run(command, "--model", ws / "m.rcam", "--chunked",
+                   ws / "chunked", *out) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+        assert not (ws / "sr").exists()
+
+    def test_eval_rejects_unequal_dims(self, synth_video, capsys):
+        ws = synth_video
+        # an HR wider than SR used to be cropped to the SR size and scored
+        assert run("synth", "--out", ws / "hr_wide", "--frames", 6,
+                   "--height", 32, "--width", 36, "--seed", 3) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--sr", ws / "hr", "--hr", ws / "hr_wide",
+                   "--records", ws / "e.jsonl") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "usage error: frame dims differ: SR 32x32 vs HR 32x36" in err
+        assert not (ws / "e.jsonl").exists()

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vidsr.metrics import consistency, cost_report, psnr, ssim, _gaussian_window
+from vidsr.metrics import (SSIM_STRIP, _gaussian_window, consistency, cost_report,
+                           psnr, ssim)
 from vidsr.tensor import ShapeMismatch, Tensor4, bicubic_resize
 
 from oracles import ssim_oracle
@@ -49,6 +50,11 @@ class TestPsnr:
         with pytest.raises(ShapeMismatch):
             psnr(Tensor4.zeros(1, 3, 4, 4), Tensor4.zeros(1, 3, 4, 5))
 
+    def test_matches_mean_of_squares(self):
+        a, b = rnd((2, 3, 67, 131), 12), rnd((2, 3, 67, 131), 13)
+        mse = np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2)
+        assert abs(psnr(t4(a), t4(b)) - 10 * math.log10(1 / mse)) <= 1e-9
+
 
 class TestSsim:
     def test_self_is_one(self):
@@ -77,6 +83,19 @@ class TestSsim:
         window = np.outer(g, g)
         want = ssim_oracle(np.asarray(a[0, 0], np.float64),
                            np.asarray(b[0, 0], np.float64), window)
+        assert abs(ssim(t4(a), t4(b)) - want) <= 1e-6
+
+    def test_batch_of_strips_matches_oracle(self):
+        # 2 images, 3 channels; 69 output rows are two full strips and a
+        # partial one, 70 output columns span two row-filter blocks
+        h, w = 2 * SSIM_STRIP + 5 + 10, 80
+        a = rnd((2, 3, h, w), 14)
+        b = np.clip(a + 0.2 * rnd((2, 3, h, w), 15) - 0.1, 0, 1)
+        g = _gaussian_window()
+        window = np.outer(g, g)
+        want = np.mean([ssim_oracle(a[i].astype(np.float64).mean(axis=0),
+                                    b[i].astype(np.float64).mean(axis=0), window)
+                        for i in range(2)])
         assert abs(ssim(t4(a), t4(b)) - want) <= 1e-6
 
     def test_inverted_binary_image_negative(self):
@@ -119,6 +138,12 @@ class TestConsistency:
         want = plain + 10.0 * (0.2 * mean_r + 0.01)
         assert abs(shifted - want) <= 1e-6
         assert 0.08 <= shifted <= 0.13
+
+    def test_matches_mean_of_squares(self):
+        lr, sr = rnd((1, 3, 40, 70), 16), rnd((1, 3, 80, 140), 17)
+        down = bicubic_resize(t4(sr), Fraction(1, 2)).data
+        want = 10 * np.mean((lr.astype(np.float64) - down.astype(np.float64)) ** 2)
+        assert abs(consistency(t4(lr), t4(sr), 2) - want) <= 1e-9
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatch):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,31 @@ class TestBicubic:
         got = T.bicubic_resize(t4(x), Fraction(1, 2)).data
         want = bicubic_oracle(x, 3, 4)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+    # sizes whose outputs span several BAND_BLOCK row blocks on both axes
+    MULTI_BLOCK = [((70, 150), 2), ((140, 150), Fraction(1, 2)),
+                   ((30, 45), 3), ((195, 198), Fraction(1, 3))]
+
+    @pytest.mark.parametrize("hw,scale", MULTI_BLOCK)
+    def test_multi_block_matches_oracle(self, hw, scale):
+        x = np.random.default_rng(6).random((1, 1, *hw)).astype(np.float32)
+        oh, ow = int(hw[0] * scale), int(hw[1] * scale)
+        assert min(oh, ow) > T.BAND_BLOCK
+        got = T.bicubic_resize(t4(x), scale).data
+        np.testing.assert_allclose(got, bicubic_oracle(x, oh, ow), atol=1e-5)
+
+    @pytest.mark.parametrize("hw,scale", MULTI_BLOCK)
+    def test_adjoint_identity(self, hw, scale):
+        # <Mx, u> = <x, M^T u> in float64, M the resize operator
+        rng = np.random.default_rng(7)
+        oh, ow = int(hw[0] * scale), int(hw[1] * scale)
+        x = rng.standard_normal((2, 3, *hw))
+        u = rng.standard_normal((2, 3, oh, ow))
+        mx = T._bicubic_resize(x, oh, ow)
+        mtu = T._bicubic_resize(u, *hw, transpose=True)
+        assert mx.dtype == mtu.dtype == np.float64
+        lhs, rhs = float(np.vdot(mx, u)), float(np.vdot(x, mtu))
+        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(lhs))
 
     def test_ramp_up_down_roundtrip_bound(self):
         # Smooth diagonal ramp over [0,1]; x2 then x1/2 is not exact but
