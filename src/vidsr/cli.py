@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -69,9 +70,26 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
+def _sidecar(out_path: Path, name: str) -> Path:
+    """``<out>/<name>`` for a directory output, else ``<out>.<name>``."""
+    if out_path.is_dir() or not out_path.suffix:
+        return out_path / name
+    return out_path.with_name(f"{out_path.name}.{name}")
+
+
+def _write_json(path: Path, obj) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    return path
+
+
 def _write_manifest(out_path: Path, subcommand: str, config: dict,
                     inputs: dict, outputs: list):
-    config = {k: v for k, v in config.items() if k not in ("fn", "cmd")}
+    """config is ``vars(args)`` (plus extras); its ``started`` is the
+    perf_counter reading main() took when it began."""
+    wall = time.perf_counter() - config["started"]
+    config = {k: v for k, v in config.items()
+              if k not in ("fn", "cmd", "started")}
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -79,14 +97,10 @@ def _write_manifest(out_path: Path, subcommand: str, config: dict,
         "inputs": inputs,
         "outputs": [str(o) for o in outputs],
         "tool_version": __version__,
+        "numpy_version": np.__version__,
+        "wall_seconds": wall,
     }
-    if out_path.is_dir() or not out_path.suffix:
-        path = out_path / "manifest.json"
-    else:
-        path = out_path.with_name(out_path.name + ".manifest.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
+    return _write_json(_sidecar(out_path, "manifest.json"), manifest)
 
 
 def _write_records(path, records):
@@ -189,10 +203,23 @@ def cmd_train(args) -> int:
     chunks_header = {"count": video.num_chunks,
                      "boundaries": [list(b) for b in video.boundaries]}
     out = Path(args.out)
+    try:
+        if args.baseline_per_chunk:
+            out.mkdir(parents=True, exist_ok=True)
+            results = train_baseline_per_chunk(video, backbone, cfg)
+        else:
+            net = build_backbone(backbone, seed=cfg.seed)
+            prompts = default_prompts(video, cfg.tvp_size)
+            _log(f"train: {param_count(net)} params, {video.num_chunks} "
+                 f"chunks, {len(prompts)} prompts, {cfg.iters} iterations")
+            res = train(net, prompts, video, cfg)
+    except TrainDiverged as e:
+        dump = _write_json(_sidecar(out, "diagnostic.json"), e.diagnostic())
+        _log(f"numeric failure: {e}")
+        _log(f"diagnostics written to {dump}")
+        return EXIT_NUMERIC
 
     if args.baseline_per_chunk:
-        out.mkdir(parents=True, exist_ok=True)
-        results = train_baseline_per_chunk(video, backbone, cfg)
         outputs = []
         records = []
         for k, res in enumerate(results):
@@ -210,11 +237,6 @@ def cmd_train(args) -> int:
                         {"frames": args.frames}, outputs)
         return EXIT_OK
 
-    net = build_backbone(backbone, seed=cfg.seed)
-    prompts = default_prompts(video, cfg.tvp_size)
-    _log(f"train: {param_count(net)} params, {video.num_chunks} chunks, "
-         f"{len(prompts)} prompts, {cfg.iters} iterations")
-    res = train(net, prompts, video, cfg)
     for entry in res.log:
         _log(f"train: epoch {entry['epoch']} iter {entry['iter']} "
              f"loss {entry['loss']:.4f} psnr {entry['psnr_eval']:.2f}")
@@ -489,8 +511,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
+        args.started = started
         return args.fn(args)
     except UsageError as e:
         _log(f"usage error: {e}")
@@ -499,12 +523,6 @@ def main(argv=None) -> int:
             model_io.FrameError) as e:
         _log(f"input error: {e}")
         return EXIT_USAGE
-    except TrainDiverged as e:
-        _log(f"numeric failure: {e}")
-        dump = Path("vidsr-diagnostic.json")
-        dump.write_text(json.dumps({"error": str(e)}, indent=2) + "\n")
-        _log(f"diagnostics written to {dump}")
-        return EXIT_NUMERIC
     except ValueError as e:
         _log(f"validation error: {e}")
         return EXIT_VALIDATION

@@ -8,6 +8,7 @@ the per-chunk-independent-models baseline.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -30,8 +31,34 @@ EMA_DECAY = 0.9
 EMA_FLOOR = 0.1         # floor = this fraction of the mean EMA
 
 
+# losses kept for the divergence dump
+DIVERGED_LOSSES = 8
+
+
 class TrainDiverged(RuntimeError):
-    """Loss left the finite range; carries last LR and gradient norms."""
+    """Loss left the finite range. Carries the iteration, the learning
+    rate, the last DIVERGED_LOSSES losses, every parameter's gradient
+    norm from the previous iteration and the config snapshot."""
+
+    def __init__(self, iteration, lr, losses, grad_norms, config):
+        norms = ", ".join(f"{k}={v:.3g}" for k, v in
+                          sorted(grad_norms.items())[:4])
+        super().__init__(f"non-finite loss at iteration {iteration} "
+                         f"(lr={lr:.3g}; last grad norms: {norms or 'n/a'})")
+        self.iteration = iteration
+        self.lr = lr
+        self.losses = list(losses)
+        self.grad_norms = dict(grad_norms)
+        self.config = config
+
+    def diagnostic(self) -> dict:
+        """JSON-ready dump; non-finite floats become their repr strings."""
+        def num(v):
+            return v if math.isfinite(v) else repr(v)
+        return {"error": str(self), "iteration": self.iteration,
+                "lr": self.lr, "last_losses": [num(v) for v in self.losses],
+                "grad_norms": {k: num(v) for k, v in self.grad_norms.items()},
+                "config": self.config}
 
 
 @dataclass
@@ -306,6 +333,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
 
     result = TrainResult(net=net, prompts=prompts)
     last_grad_norms = {}
+    recent_losses = deque(maxlen=DIVERGED_LOSSES)
     for it in range(config.iters):
         epoch = it // epoch_len
         lr_t = config.lr_rate * (
@@ -326,12 +354,10 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
         loss_val = float(loss.value.ravel()[0])
         if it == 0:
             result.first_loss = loss_val
+        recent_losses.append(loss_val)
         if not math.isfinite(loss_val):
-            norms = ", ".join(f"{k}={v:.3g}" for k, v in
-                              sorted(last_grad_norms.items())[:4])
-            raise TrainDiverged(
-                f"non-finite loss at iteration {it} (lr={lr_t:.3g}; "
-                f"last grad norms: {norms or 'n/a'})")
+            raise TrainDiverged(it, lr_t, recent_losses, last_grad_norms,
+                                config.snapshot())
 
         node_grads = tape.backward(loss)
         grads = {}

@@ -7,7 +7,7 @@ import pytest
 
 from vidsr import model_io
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from vidsr.network import BackboneConfig, build_backbone
+from vidsr.network import BackboneConfig, build_backbone, named_params
 from vidsr.prompt import make_prompt
 
 
@@ -116,6 +116,14 @@ class TestManifests:
         assert tm["config"]["resolved"]["iters"] == 3
         assert tm["config"]["resolved"]["batch"] == 8
 
+    def test_manifest_records_wall_time_and_numpy(self, synth_video):
+        ws = synth_video
+        run(*small_train_args(ws, ws / "m.rcam", iters=3))
+        for path in (ws / "hr" / "manifest.json", ws / "m.rcam.manifest.json"):
+            manifest = json.loads(path.read_text())
+            assert manifest["numpy_version"] == np.__version__
+            assert 0 < manifest["wall_seconds"] < 600
+
     def test_train_determinism_byte_identical(self, synth_video):
         ws = synth_video
         run(*small_train_args(ws, ws / "a.rcam", iters=12, seed=9))
@@ -145,7 +153,19 @@ class TestExitCodes:
                      "--iters", 400, "--batch", 4, "--patch", 16,
                      "--tvp-size", 0, "--lr", "1e18", "--seed", 0)
         assert rc == EXIT_NUMERIC
-        assert (ws / "vidsr-diagnostic.json").exists()
+        assert not (ws / "vidsr-diagnostic.json").exists()
+        dump = json.loads((ws / "x.rcam.diagnostic.json").read_text())
+        assert dump["iteration"] >= 1 and dump["lr"] == 1e18
+        losses = dump["last_losses"]
+        assert 2 <= len(losses) <= 8 and losses[-1] in ("nan", "inf")
+        assert all(isinstance(v, float) for v in losses[:-1])
+        # every parameter's norm, not only the 4 the message names
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=3,
+                                            scale=2), seed=0)
+        assert sorted(dump["grad_norms"]) == sorted(n for n, _ in named_params(net))
+        assert dump["config"]["lr_rate"] == 1e18
+        assert dump["config"]["seed"] == 0
+        assert "lr=" in dump["error"]
 
     def test_env_var_sets_default_seed(self, workspace, monkeypatch):
         monkeypatch.setenv("VIDSR_SEED", "77")

@@ -1,5 +1,10 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsr import model_io as mio
 from vidsr.fuse import fuse_network
@@ -107,6 +112,28 @@ class TestPpm:
     def test_half_rounds_away_from_zero(self):
         assert mio.float_to_byte(np.array([0.5]))[0] == 128
 
+    def test_write_bytes_are_floor_of_clip_plus_half(self, tmp_path):
+        # every k/255 and (k+0.5)/255, one float32 ulp either side of
+        # each, and out-of-range values
+        k = np.arange(256, dtype=np.float32)
+        centres = np.concatenate([k / 255, (k + 0.5) / 255]).astype(np.float32)
+        vals = np.concatenate([
+            centres,
+            np.nextafter(centres, np.float32(-np.inf)),
+            np.nextafter(centres, np.float32(np.inf)),
+            np.array([-0.1, 1.2], np.float32)])
+        vals = np.concatenate([vals, np.zeros(-len(vals) % 64, np.float32)])
+        rgb = np.stack([vals, vals[::-1], np.roll(vals, 7)])
+        frame = rgb.reshape(3, -1, 32)
+        p = tmp_path / "edges.ppm"
+        mio.write_ppm(p, frame)
+        want = np.floor(np.clip(frame, 0, 1) * np.float32(255) + np.float32(0.5))
+        want = want.astype(np.uint8).transpose(1, 2, 0)
+        data = p.read_bytes()
+        header = b"P6\n32 %d\n255\n" % frame.shape[1]
+        assert data[:len(header)] == header
+        assert data[len(header):] == want.tobytes()
+
     def test_all_byte_values_round_trip(self, tmp_path):
         # one frame containing every representable 8-bit value
         vals = np.arange(256, dtype=np.float32) / 255.0
@@ -186,3 +213,82 @@ class TestSyntheticVideo:
         cut = 10 // 2 - 1  # transition between frames 4 and 5
         others = [e for i, e in enumerate(energies) if i != cut]
         assert energies[cut] > 2 * max(others)
+
+
+# Malformed bytes: every single-byte change to a saved container, and any
+# byte string given as a PPM, either loads or raises the module's own
+# error, never another exception. Derandomized, so every run draws the
+# same examples.
+MALFORMED = settings(derandomize=True, deadline=None, max_examples=300)
+
+
+def _saved_container() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.rcam"
+        mio.save_model(path, toy_net(branches=2, seed=4),
+                       [make_prompt(i, 3) for i in range(2)],
+                       chunks={"count": 2, "boundaries": [[0, 1], [1, 2]]})
+        return path.read_bytes()
+
+
+CONTAINER = _saved_container()
+
+
+def _load_model_bytes(raw: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "m.rcam"
+        path.write_bytes(raw)
+        return mio.load_model(path)
+
+
+def _loads_or_container_error(raw: bytes):
+    try:
+        _load_model_bytes(raw)
+    except mio.ContainerError:
+        pass
+
+
+@MALFORMED
+@given(pos=st.integers(0, len(CONTAINER) - 1), value=st.integers(0, 255))
+def test_container_byte_overwrite_loads_or_raises(pos, value):
+    raw = bytearray(CONTAINER)
+    raw[pos] = value
+    _loads_or_container_error(bytes(raw))
+
+
+@MALFORMED
+@given(pos=st.integers(0, len(CONTAINER) - 1), bit=st.integers(0, 7))
+def test_container_bit_flip_loads_or_raises(pos, bit):
+    raw = bytearray(CONTAINER)
+    raw[pos] ^= 1 << bit
+    _loads_or_container_error(bytes(raw))
+
+
+@MALFORMED
+@given(size=st.integers(0, len(CONTAINER) - 1))
+def test_container_truncation_raises(size):
+    with pytest.raises(mio.ContainerError):
+        _load_model_bytes(CONTAINER[:size])
+
+
+PPM_HEADER = st.builds(
+    lambda w, h, maxval, sep: b"P6%s%d%s%d%s%d%s" % (sep, w, sep, h, sep,
+                                                    maxval, sep),
+    st.integers(0, 9), st.integers(0, 9),
+    st.sampled_from([255, 65535, 0]), st.sampled_from([b"\n", b" ", b"\t"]))
+
+
+@MALFORMED
+@given(data=st.one_of(
+    st.binary(max_size=96),
+    st.builds(bytes.__add__, PPM_HEADER, st.binary(max_size=300))))
+def test_read_ppm_frame_or_frame_error(data):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "f.ppm"
+        path.write_bytes(data)
+        try:
+            frame = mio.read_ppm(path)
+        except mio.FrameError:
+            return
+    assert frame.dtype == np.float32 and frame.ndim == 3
+    assert frame.shape[0] == 3 and min(frame.shape) >= 1

@@ -222,9 +222,15 @@ class TestTraining:
         video = tiny_video(seed=8)
         net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=2,
                                             scale=2), seed=8)
-        with pytest.raises(TrainDiverged, match="lr="), np.errstate(all="ignore"):
-            train(net, [], video,
-                  tiny_config(iters=400, lr_rate=1e18, tvp_size=0))
+        cfg = tiny_config(iters=400, lr_rate=1e18, tvp_size=0)
+        with pytest.raises(TrainDiverged, match="lr=") as info, \
+                np.errstate(all="ignore"):
+            train(net, [], video, cfg)
+        e = info.value
+        assert e.lr == 1e18 and e.config == cfg.snapshot()
+        assert len(e.losses) == min(e.iteration + 1, 8)
+        assert not np.isfinite(e.losses[-1])
+        assert sorted(e.grad_norms) == sorted(n for n, _ in named_params(net))
 
     def test_log_records_epoch_loss_psnr(self):
         video = tiny_video(seed=9)

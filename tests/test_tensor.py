@@ -133,6 +133,67 @@ class TestConvAdjoints:
         np.testing.assert_allclose(np.vdot(gw, w), np.vdot(gy, y), rtol=1e-12)
 
 
+class TestConvTiles:
+    """With CONV_TILE cut to a few grid columns, small float64 cases run
+    as several tiles: one-row bands (tile 1), bands of 2 or 3 rows with a
+    shorter last band (tile 16), and whole-image tiles whose GEMM spans an
+    image boundary (tile 130: two 9x7 padded images, then a last tile of
+    one; or all three 7x5 ones at padding 0)."""
+
+    TILES = (1, 16, 130)
+    CASES = [(t, p) for t in TILES for p in (0, 1)]
+
+    @staticmethod
+    def operands(p, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 2, 7, 5))
+        w = rng.standard_normal((4, 2, 3, 3))
+        b = rng.standard_normal(4)
+        gy = rng.standard_normal((3, 4, 5 + 2 * p, 3 + 2 * p))
+        return rng, x, w, b, gy
+
+    @pytest.mark.parametrize("tile,p", CASES)
+    @pytest.mark.parametrize("with_pad_values", [False, True])
+    def test_forward_matches_oracle(self, monkeypatch, tile, p,
+                                    with_pad_values):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        rng, x, w, b, _ = self.operands(p, tile + p)
+        pv = rng.standard_normal(2) if with_pad_values and p else None
+        if p:
+            assert len(T._conv_tiles(3, 9, 7, 7, 3)) > 1
+        got = T._conv2d(x, w, b, p, pv)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got, conv2d_oracle(x, w, b, p, pv),
+                                   rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("tile,p", CASES)
+    def test_grad_input_is_adjoint(self, monkeypatch, tile, p):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        _, x, w, _, gy = self.operands(p, 2 * tile + p)
+        y = conv2d_oracle(x, w, np.zeros(4), p)
+        gx = T._conv2d_grad_input(gy, w, p, x.shape)
+        np.testing.assert_allclose(np.vdot(gx, x), np.vdot(gy, y), rtol=1e-12)
+
+    @pytest.mark.parametrize("tile,p", CASES)
+    @pytest.mark.parametrize("with_pad_values", [False, True])
+    def test_grad_weight_is_adjoint(self, monkeypatch, tile, p,
+                                    with_pad_values):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        rng, x, w, _, gy = self.operands(p, 3 * tile + p)
+        pv = rng.standard_normal(2) if with_pad_values else None
+        y = conv2d_oracle(x, w, np.zeros(4), p, pv)
+        gw = T._conv2d_grad_weight(x, gy, 3, p, pv)
+        np.testing.assert_allclose(np.vdot(gw, w), np.vdot(gy, y), rtol=1e-12)
+
+    @pytest.mark.parametrize("tile", TILES)
+    def test_tiles_cover_every_output_row_once(self, monkeypatch, tile):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        rows = [(b, row)
+                for b0, nb, r0, r, _, _ in T._conv_tiles(3, 9, 7, 7, 3)
+                for b in range(b0, b0 + nb) for row in range(r0, r0 + r)]
+        assert sorted(rows) == [(b, r) for b in range(3) for r in range(7)]
+
+
 class TestPixelShuffle:
     def test_definition_2x2(self):
         x = np.array([1., 2., 3., 4.], np.float32).reshape(1, 4, 1, 1)
