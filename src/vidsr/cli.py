@@ -12,12 +12,11 @@ Exit codes: 0 success, 1 usage error, 2 validation/verify failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +27,15 @@ from .network import BackboneConfig, build_backbone, param_count, sr_forward
 from .pipeline import (
     TrainConfig,
     TrainDiverged,
+    chunk_index,
     chunk_video,
     default_prompts,
+    epoch_length,
     make_lr,
+    sr_frame,
     train,
     train_baseline_per_chunk,
 )
-from .prompt import apply_prompt
 from .tensor import Tensor4
 
 EXIT_OK = 0
@@ -181,23 +182,16 @@ def cmd_chunk(args) -> int:
     return EXIT_OK
 
 
-def _train_config(args, video) -> TrainConfig:
-    iters = args.iters
-    if args.epochs is not None:
-        ny = (video.hr[0].shape[1] - args.patch) // args.scale + 1
-        nx = (video.hr[0].shape[2] - args.patch) // args.scale + 1
-        epoch_len = max(1, math.ceil(video.num_frames * ny * nx / args.batch))
-        iters = args.epochs * epoch_len
-    return TrainConfig(scale=args.scale, chunks=args.chunks, iters=iters,
-                       batch=args.batch, lr_rate=args.lr,
-                       patch=args.patch, sampler=args.sampler,
-                       tvp_size=args.tvp_size, seed=args.seed)
-
-
 def cmd_train(args) -> int:
     hr = model_io.read_frames(Path(args.frames))
     video = make_lr(chunk_video(hr, args.chunks), args.scale)
-    cfg = _train_config(args, video)
+    cfg = TrainConfig(scale=args.scale, chunks=args.chunks, iters=args.iters,
+                      batch=args.batch, lr_rate=args.lr, patch=args.patch,
+                      sampler=args.sampler, tvp_size=args.tvp_size,
+                      seed=args.seed)
+    if args.epochs is not None:
+        cfg = dataclasses.replace(
+            cfg, iters=args.epochs * epoch_length(video, cfg))
     backbone = BackboneConfig(channels=args.channels, blocks=args.blocks,
                               branches=args.branches, scale=args.scale)
     chunks_header = {"count": video.num_chunks,
@@ -285,16 +279,6 @@ def cmd_verify_fuse(args) -> int:
     return EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _infer_one(net, prompts_by_chunk, meta, frames, idx):
-    chunk = next(k for k, (lo, hi) in enumerate(meta["boundaries"])
-                 if lo <= idx < hi)
-    x = Tensor4(frames[idx][None])
-    p = prompts_by_chunk.get(chunk)
-    if p is not None:
-        x = apply_prompt(x, p)
-    return sr_forward(net, x, clamp=True).data[0]
-
-
 def cmd_infer(args) -> int:
     net, prompts, _ = model_io.load_model(args.model)
     meta, frames = _load_chunk_dir(Path(args.chunked))
@@ -304,21 +288,14 @@ def cmd_infer(args) -> int:
     if len(prompts) not in (0, meta["chunks"]):
         raise ValueError(f"model carries {len(prompts)} prompts, chunks.json "
                          f"has {meta['chunks']} chunks")
-    prompts_by_chunk = {p.chunk_id: p for p in prompts}
+    sr = [sr_frame(net, prompts[chunk_index(meta["boundaries"], i)]
+                   if prompts else None, f).data[0]
+          for i, f in enumerate(frames)]
     out = Path(args.out)
-    indices = range(len(frames))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            sr = list(pool.map(
-                lambda i: _infer_one(net, prompts_by_chunk, meta, frames, i),
-                indices))
-    else:
-        sr = [_infer_one(net, prompts_by_chunk, meta, frames, i)
-              for i in indices]
     model_io.write_frames(out, sr)
     _write_manifest(out, "infer", vars(args),
                     {"model": args.model, "chunked": args.chunked},
-                    [out / f"frame_{i:05d}.ppm" for i in indices])
+                    [model_io.frame_path(out, i) for i in range(len(sr))])
     _log(f"infer: super-resolved {len(frames)} frames -> {out}")
     return EXIT_OK
 
@@ -336,24 +313,20 @@ def cmd_eval(args) -> int:
         raise UsageError(f"frame dims differ: SR {sr[0].shape[1]}x{sr[0].shape[2]}"
                          f" vs HR {hr[0].shape[1]}x{hr[0].shape[2]}")
     lr = model_io.read_frames(Path(args.lr)) if args.lr else None
+    if lr is not None and len(lr) != len(sr):
+        raise UsageError(f"frame count mismatch: {len(sr)} SR vs {len(lr)} LR")
 
-    def one(i):
-        a, b = sr[i], hr[i]
+    records = []
+    for i, (a, b) in enumerate(zip(sr, hr)):
         if args.quantize_8bit:
             a, b = _quantize(a), _quantize(b)
-        rec = {"frame": i,
-               "psnr": metrics.psnr(Tensor4(a[None]), Tensor4(b[None])),
-               "ssim": metrics.ssim(Tensor4(a[None]), Tensor4(b[None]))}
+        a, b = Tensor4(a[None]), Tensor4(b[None])
+        rec = {"frame": i, "psnr": metrics.psnr(a, b),
+               "ssim": metrics.ssim(a, b)}
         if lr is not None:
             rec["consistency"] = metrics.consistency(
-                Tensor4(lr[i][None]), Tensor4(a[None]), args.scale)
-        return rec
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(one, range(len(sr))))
-    else:
-        records = [one(i) for i in range(len(sr))]
+                Tensor4(lr[i][None]), a, args.scale)
+        records.append(rec)
 
     mean_psnr = float(np.mean([r["psnr"] for r in records]))
     mean_ssim = float(np.mean([r["ssim"] for r in records]))
@@ -482,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     ip.add_argument("--model", required=True)
     ip.add_argument("--chunked", required=True, help="output dir of `chunk`")
     ip.add_argument("--out", required=True)
-    ip.add_argument("--jobs", type=int, default=1)
     ip.set_defaults(fn=cmd_infer)
 
     ep = sub.add_parser("eval", help="PSNR/SSIM (and consistency) vs HR")
@@ -492,7 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--scale", type=int, default=2)
     ep.add_argument("--quantize-8bit", action="store_true")
     ep.add_argument("--records", default=None)
-    ep.add_argument("--jobs", type=int, default=1)
     ep.set_defaults(fn=cmd_eval)
 
     rp = sub.add_parser("cost-report", help="delivery size accounting")

@@ -141,16 +141,13 @@ def _arch_header(net) -> dict:
             **asdict(net.config), "merge": "sum"}
 
 
-def save_model(path, net, prompts=(), chunks=None, train_config=None,
-               extra=None):
+def save_model(path, net, prompts=(), chunks=None, train_config=None):
     """Write a network (training or fused) plus its per-chunk prompts."""
     header = {"arch": _arch_header(net)}
     if chunks is not None:
         header["chunks"] = chunks
     if train_config is not None:
         header["train_config"] = train_config
-    if extra:
-        header.update(extra)
     prompts = list(prompts)
     header["prompts"] = [
         {"chunk_id": p.chunk_id, "dims": list(p.values.shape)} for p in prompts
@@ -189,7 +186,8 @@ def _net_from_container(container: ModelContainer):
 
 
 def load_model(path):
-    """Returns (net, prompts, header). Self-describing; no extra config."""
+    """Returns (net, prompts, header). Self-describing; no extra config.
+    Prompts carry chunk ids 0..n-1 in container order."""
     container = load_container(path)
     net = _net_from_container(container)
     entries = container.header.get("prompts", [])
@@ -206,6 +204,10 @@ def load_model(path):
         if entry.get("dims") != list(values.shape):
             raise HeaderError(f"{path}: prompt {cid} dims {entry.get('dims')!r} "
                               f"differ from its tensor's {list(values.shape)}")
+        if cid != i:
+            raise HeaderError(f"{path}: prompt entry {i} has chunk_id {cid}; "
+                              f"prompts must carry chunk ids 0..{len(entries) - 1}"
+                              f" in order")
         try:
             prompts.append(VisualPrompt(cid, values))
         except TensorError as e:
@@ -224,7 +226,11 @@ def prompt_payload_bytes(header) -> list:
 
 def float_to_byte(v: np.ndarray) -> np.ndarray:
     """[0,1] float to 8-bit, round-half-away-from-zero after clamping."""
-    return np.floor(np.clip(v, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
+    # every value is >= 0.5 after the add, so the truncating cast is the floor
+    v = np.clip(v, 0.0, 1.0)
+    v *= 255.0
+    v += 0.5
+    return v.astype(np.uint8)
 
 
 def write_ppm(path, frame: np.ndarray):
@@ -236,16 +242,10 @@ def write_ppm(path, frame: np.ndarray):
     c, h, w = frame.shape
     if c != 3:
         raise FrameError(f"frame must have 3 channels, got {c}")
-    # float_to_byte in fewer passes: every value is >= 0.5 after the add,
-    # so the truncating cast is the floor. One cast per channel plane into
-    # the interleaved buffer runs about 3x faster than one through the
-    # transposed (3, H, W) view.
-    v = np.clip(frame, 0.0, 1.0)
-    v *= 255.0
-    v += 0.5
+    planes = float_to_byte(frame)
     rgb = np.empty((h, w, 3), np.uint8)
     for ch in range(3):
-        rgb[:, :, ch] = v[ch]
+        rgb[:, :, ch] = planes[ch]
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
         fh.write(rgb)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -80,10 +80,15 @@ class ChunkedVideo:
         return len(self.hr)
 
     def chunk_of(self, frame: int) -> int:
-        for k, (lo, hi) in enumerate(self.boundaries):
-            if lo <= frame < hi:
-                return k
-        raise IndexError(f"frame {frame} outside all chunks")
+        return chunk_index(self.boundaries, frame)
+
+
+def chunk_index(boundaries, frame: int) -> int:
+    """Index of the [lo, hi) boundary pair that holds ``frame``."""
+    for k, (lo, hi) in enumerate(boundaries):
+        if lo <= frame < hi:
+            return k
+    raise IndexError(f"frame {frame} outside all chunks")
 
 
 def chunk_boundaries(frame_count: int, n_chunks: int) -> list:
@@ -147,7 +152,6 @@ class TrainConfig:
     sampler: str = "loss"  # "loss" (EMA-weighted) or "uniform"
     tvp_size: int = 48     # 0 disables prompts
     seed: int = 0
-    loss: str = "l1"
 
     def __post_init__(self):
         if self.sampler not in ("loss", "uniform"):
@@ -186,12 +190,6 @@ class PatchSampler:
         self.grid_h = self.max_y // GRID_CELL + 1
         self.grid_w = self.max_x // GRID_CELL + 1
         self.ema = np.zeros((video.num_frames, self.grid_h, self.grid_w))
-
-    @property
-    def total_positions(self) -> int:
-        ny = self.max_y // self.scale + 1
-        nx = self.max_x // self.scale + 1
-        return self.video.num_frames * ny * nx
 
     def cell_weights(self) -> np.ndarray:
         """Unnormalized sampling weights, flattened over (frame, gy, gx)."""
@@ -291,6 +289,24 @@ def _batch_placements(video, refs, prompts, patch):
     return placements
 
 
+def epoch_length(video: ChunkedVideo, config: TrainConfig) -> int:
+    """Iterations per epoch: enough batches to cover every scale-aligned
+    patch position of every frame once."""
+    _, h, w = video.hr[0].shape
+    ny = (h - config.patch) // config.scale + 1
+    nx = (w - config.patch) // config.scale + 1
+    return max(1, math.ceil(video.num_frames * ny * nx / config.batch))
+
+
+def sr_frame(net, prompt, lr: np.ndarray) -> Tensor4:
+    """The client's step for one (3, h, w) LR frame: add its chunk's
+    prompt (None for no prompt), then super-resolve, clamped to [0, 1]."""
+    x = Tensor4(lr[None])
+    if prompt is not None:
+        x = apply_prompt(x, prompt)
+    return sr_forward(net, x, clamp=True)
+
+
 def eval_frames(video: ChunkedVideo) -> list:
     return list(range(0, video.num_frames, EVAL_FRAME_STRIDE))
 
@@ -303,10 +319,8 @@ def evaluate_psnr(net, prompts, video: ChunkedVideo, frames=None) -> float:
         frames = eval_frames(video)
     vals = []
     for f in frames:
-        x = Tensor4(video.lr[f][None])
-        if prompts:
-            x = apply_prompt(x, prompts[video.chunk_of(f)])
-        y = sr_forward(net, x, clamp=True)
+        y = sr_frame(net, prompts[video.chunk_of(f)] if prompts else None,
+                     video.lr[f])
         vals.append(psnr(y, Tensor4(video.hr[f][None])))
     return float(np.mean(vals))
 
@@ -329,7 +343,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
     for p in prompts:
         params[f"prompt{p.chunk_id}"] = p.values.copy()
     adam = Adam({k: v.shape for k, v in params.items()}, config)
-    epoch_len = max(1, math.ceil(sampler.total_positions / config.batch))
+    epoch_len = epoch_length(video, config)
 
     result = TrainResult(net=net, prompts=prompts)
     last_grad_norms = {}
@@ -411,15 +425,11 @@ def train_baseline_per_chunk(video: ChunkedVideo, backbone: BackboneConfig,
                              config: TrainConfig) -> list:
     """One independent single-branch model per chunk, no prompts."""
     results = []
-    base = BackboneConfig(channels=backbone.channels, blocks=backbone.blocks,
-                          branches=1, scale=backbone.scale,
-                          global_skip=backbone.global_skip)
+    base = replace(backbone, branches=1)
     for k, (lo, hi) in enumerate(video.boundaries):
         sub = ChunkedVideo(video.scale, video.hr[lo:hi], video.lr[lo:hi],
                            [(0, hi - lo)])
-        cfg_k = TrainConfig(**{**config.snapshot(),
-                               "chunks": 1, "tvp_size": 0,
-                               "seed": config.seed + k})
+        cfg_k = replace(config, chunks=1, tvp_size=0, seed=config.seed + k)
         net = build_backbone(base, seed=cfg_k.seed)
         results.append(train(net, [], sub, cfg_k))
     return results

@@ -43,12 +43,9 @@ class VisualPrompt:
         return self.values.shape[0]
 
 
-def make_prompt(chunk_id: int, size_h: int = DEFAULT_SIZE,
-                size_w: int | None = None, channels: int = 3) -> VisualPrompt:
-    """Fresh all-zero prompt (transparent until trained)."""
-    if size_w is None:
-        size_w = size_h
-    return VisualPrompt(chunk_id, np.zeros((channels, size_h, size_w), np.float32))
+def make_prompt(chunk_id: int, size: int = DEFAULT_SIZE) -> VisualPrompt:
+    """Fresh all-zero RGB size x size prompt (transparent until trained)."""
+    return VisualPrompt(chunk_id, np.zeros((3, size, size), np.float32))
 
 
 def centered_offsets(frame_h: int, frame_w: int, size_h: int,

@@ -111,9 +111,6 @@ class ConvKernel:
     def size(self) -> int:
         return self.weight.shape[2]
 
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
-
 
 # ---------------------------------------------------------------------------
 # raw kernels (dtype-preserving, ndarray in / ndarray out)

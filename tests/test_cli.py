@@ -7,8 +7,19 @@ import pytest
 
 from vidsr import model_io
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from vidsr.metrics import psnr
 from vidsr.network import BackboneConfig, build_backbone, named_params
-from vidsr.prompt import make_prompt
+from vidsr.pipeline import (
+    ChunkedVideo,
+    TrainConfig,
+    chunk_video,
+    epoch_length,
+    evaluate_psnr,
+    make_lr,
+    sr_frame,
+)
+from vidsr.prompt import VisualPrompt, make_prompt
+from vidsr.tensor import Tensor4
 
 
 @pytest.fixture()
@@ -102,6 +113,60 @@ class TestPipelineSmoke:
                    "--records", ws / "c.jsonl") == EXIT_OK
         rec = json.loads((ws / "c.jsonl").read_text())
         assert len(rec["model_bytes"]) == 3
+
+
+class TestClientPath:
+    def test_infer_prompts_each_frame_with_its_chunks_prompt(self, synth_video,
+                                                            tmp_path):
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 2, "--scale", 2) == EXIT_OK
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=2,
+                                            scale=2), seed=0)
+        rng = np.random.default_rng(0)
+        prompts = [VisualPrompt(k, rng.normal(0.0, 0.1, (3, 8, 8)))
+                   for k in range(2)]
+        model_io.save_model(ws / "m.rcam", net, prompts)
+        assert run("infer", "--model", ws / "m.rcam", "--chunked",
+                   ws / "chunked", "--out", ws / "sr") == EXIT_OK
+
+        # the LR frames infer reads: the quantized ones on disk
+        ref = make_lr(chunk_video(model_io.read_frames(ws / "hr"), 2), 2)
+        video = ChunkedVideo(2, ref.hr, model_io.read_frames(ws / "chunked" / "lr"),
+                             ref.boundaries)
+        assert video.boundaries == [(0, 3), (3, 6)]
+        outputs = []
+        for i, lr in enumerate(video.lr):
+            chunk = video.chunk_of(i)
+            y = sr_frame(net, prompts[chunk], lr)
+            model_io.write_ppm(tmp_path / "want.ppm", y.data[0])
+            got = model_io.frame_path(ws / "sr", i).read_bytes()
+            assert got == (tmp_path / "want.ppm").read_bytes()
+            # the other chunk's prompt gives other bytes
+            model_io.write_ppm(tmp_path / "other.ppm",
+                               sr_frame(net, prompts[1 - chunk], lr).data[0])
+            assert got != (tmp_path / "other.ppm").read_bytes()
+            outputs.append(y)
+        want = np.mean([psnr(y, Tensor4(f[None]))
+                        for y, f in zip(outputs, video.hr)])
+        assert evaluate_psnr(net, prompts, video,
+                             frames=range(video.num_frames)) == float(want)
+
+    def test_epochs_resolve_through_epoch_length(self, synth_video):
+        ws = synth_video
+        assert run("train", "--frames", ws / "hr", "--out", ws / "m.rcam",
+                   "--chunks", 2, "--channels", 4, "--blocks", 1,
+                   "--branches", 1, "--batch", 8, "--patch", 16,
+                   "--tvp-size", 4, "--epochs", 2, "--seed", 0) == EXIT_OK
+        cfg = TrainConfig(chunks=2, batch=8, patch=16)
+        video = make_lr(chunk_video(model_io.read_frames(ws / "hr"), 2), 2)
+        n = epoch_length(video, cfg)
+        assert n == 61  # ceil(6 frames * 9 * 9 positions / 8)
+        manifest = json.loads((ws / "m.rcam.manifest.json").read_text())
+        assert manifest["config"]["resolved"]["iters"] == 2 * n
+        log = [json.loads(line) for line in
+               (ws / "m.rcam.metrics.jsonl").read_text().splitlines()]
+        assert [(e["epoch"], e["iter"]) for e in log] == [(0, n), (1, 2 * n)]
 
 
 class TestManifests:
@@ -308,3 +373,30 @@ class TestMalformedInputs:
         err = self.one_line(capsys)
         assert "usage error: frame dims differ: SR 32x32 vs HR 32x36" in err
         assert not (ws / "e.jsonl").exists()
+
+    def test_eval_rejects_lr_frame_count_mismatch(self, synth_video, capsys):
+        ws = synth_video
+        assert run("synth", "--out", ws / "lr1", "--frames", 1,
+                   "--height", 16, "--width", 16, "--seed", 3) == EXIT_OK
+        capsys.readouterr()
+        assert run("eval", "--sr", ws / "hr", "--hr", ws / "hr", "--lr",
+                   ws / "lr1", "--scale", 2, "--records", ws / "e.jsonl") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "usage error: frame count mismatch: 6 SR vs 1 LR" in err
+        assert not (ws / "e.jsonl").exists()
+
+    def test_infer_rejects_prompts_off_chunk_ids(self, synth_video, capsys):
+        # prompts 5 and 6 matched no chunk and were skipped without a word
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 2, "--scale", 2) == EXIT_OK
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=3,
+                                            scale=2), seed=0)
+        model_io.save_model(ws / "m.rcam", net, [
+            VisualPrompt(k, np.full((3, 4, 4), 0.1, np.float32)) for k in (5, 6)])
+        capsys.readouterr()
+        assert run("infer", "--model", ws / "m.rcam", "--chunked",
+                   ws / "chunked", "--out", ws / "sr") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and "chunk_id 5" in err
+        assert not (ws / "sr").exists()

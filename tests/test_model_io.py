@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from vidsr import model_io as mio
 from vidsr.fuse import fuse_network
 from vidsr.network import BackboneConfig, build_backbone, named_params, sr_forward
-from vidsr.prompt import make_prompt
+from vidsr.prompt import VisualPrompt, make_prompt
 from vidsr.tensor import Tensor4
 
 
@@ -37,6 +37,15 @@ class TestContainer:
             assert p.values.tobytes() == q.values.tobytes()
         assert header["chunks"]["count"] == 3
         assert header["train_config"]["iters"] == 7
+
+    @pytest.mark.parametrize("ids", [[5, 6], [0, 0]])
+    def test_prompt_chunk_ids_must_be_0_to_n_in_order(self, tmp_path, ids):
+        path = tmp_path / "m.rcam"
+        mio.save_model(path, toy_net(), [
+            VisualPrompt(k, np.full((3, 4, 4), 0.1 * (i + 1), np.float32))
+            for i, k in enumerate(ids)])
+        with pytest.raises(mio.HeaderError, match="chunk ids 0..1 in order"):
+            mio.load_model(path)
 
     def test_loaded_net_runs_without_extra_config(self, tmp_path):
         net = toy_net(seed=5)
