@@ -76,8 +76,6 @@ class Tape:
 
     def sum_nodes(self, items) -> Node:
         items = list(items)
-        if len(items) == 1:
-            return items[0]
         val = items[0].value.copy()
         for it in items[1:]:
             val += it.value

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -61,6 +62,32 @@ class _Parser(argparse.ArgumentParser):
 
 def _log(msg):
     print(msg, file=sys.stderr)
+
+
+def _int_from(lo):
+    """argparse type: an int no less than lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be an int >= {lo}, got {text!r}")
+        return value
+    return parse
+
+
+def _finite_nonnegative(text):
+    """argparse type: a finite float no less than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 def _default_seed() -> int:
@@ -313,8 +340,14 @@ def cmd_eval(args) -> int:
         raise UsageError(f"frame dims differ: SR {sr[0].shape[1]}x{sr[0].shape[2]}"
                          f" vs HR {hr[0].shape[1]}x{hr[0].shape[2]}")
     lr = model_io.read_frames(Path(args.lr)) if args.lr else None
-    if lr is not None and len(lr) != len(sr):
-        raise UsageError(f"frame count mismatch: {len(sr)} SR vs {len(lr)} LR")
+    if lr is not None:
+        if len(lr) != len(sr):
+            raise UsageError(f"frame count mismatch: {len(sr)} SR vs {len(lr)} LR")
+        (lh, lw), (h, w) = lr[0].shape[1:], sr[0].shape[1:]
+        if (lh * args.scale, lw * args.scale) != (h, w):
+            raise UsageError(f"LR frames are {lh}x{lw}, but SR {h}x{w} at "
+                             f"x{args.scale} needs {h / args.scale:g}x"
+                             f"{w / args.scale:g}")
 
     records = []
     for i, (a, b) in enumerate(zip(sr, hr)):
@@ -350,7 +383,16 @@ def cmd_cost_report(args) -> int:
                  for lo, hi in meta["boundaries"]]
     overrides = None
     if args.size_file:
-        overrides = json.loads(Path(args.size_file).read_text())
+        n = len(meta["boundaries"])
+        try:
+            overrides = json.loads(Path(args.size_file).read_text())
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise InputError(f"{args.size_file}: not JSON ({e})") from None
+        if not (isinstance(overrides, list) and len(overrides) == n and all(
+                type(v) is int and v >= 0 for v in overrides)):
+            raise InputError(f"{args.size_file}: must be a list of {n} "
+                             f"non-negative ints, one per chunk, got "
+                             f"{overrides!r}")
     if args.scheme == "per-chunk-models":
         model_files = args.models
         if not model_files:
@@ -400,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate a deterministic synthetic video")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--frames", type=int, default=16)
-    sp.add_argument("--height", type=int, default=96)
-    sp.add_argument("--width", type=int, default=96)
+    sp.add_argument("--frames", type=_int_from(1), default=16)
+    # the smallest frame the scene pattern can draw is 9x9
+    sp.add_argument("--height", type=_int_from(9), default=96)
+    sp.add_argument("--width", type=_int_from(9), default=96)
     sp.add_argument("--shift-y", type=int, default=1)
     sp.add_argument("--shift-x", type=int, default=2)
     sp.add_argument("--seed", type=int, default=_default_seed())
@@ -446,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify-fuse", help="check fused against multi-branch")
     vp.add_argument("--model", required=True)
-    vp.add_argument("--tolerance", type=float, default=1e-4)
-    vp.add_argument("--trials", type=int, default=20)
+    vp.add_argument("--tolerance", type=_finite_nonnegative, default=1e-4)
+    vp.add_argument("--trials", type=_int_from(1), default=20)
     vp.add_argument("--seed", type=int, default=_default_seed())
     vp.set_defaults(fn=cmd_verify_fuse)
 
@@ -461,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--sr", required=True)
     ep.add_argument("--hr", required=True)
     ep.add_argument("--lr", default=None)
-    ep.add_argument("--scale", type=int, default=2)
+    ep.add_argument("--scale", type=int, default=2, choices=(1, 2, 3, 4))
     ep.add_argument("--quantize-8bit", action="store_true")
     ep.add_argument("--records", default=None)
     ep.set_defaults(fn=cmd_eval)

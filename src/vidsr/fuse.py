@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .network import FusedNet, MultiBranchConv
+from .network import Branch, MultiBranchConv, SRNet
 from .tensor import ChannelMismatch, ConvKernel, ShapeMismatch
 
 
@@ -79,13 +79,12 @@ def fuse_block(conv: MultiBranchConv) -> ConvKernel:
                              for br in conv.branches)
 
 
-def fuse_network(net) -> FusedNet:
-    """Collapse every body block; head and tail are copied unchanged.
+def fuse_network(net: SRNet) -> SRNet:
+    """The one-branch network: every body block collapsed into one 3x3
+    conv, head and tail copied unchanged. A one-branch network fuses to
+    an equal copy, so the operation is idempotent."""
+    def one(conv):
+        return MultiBranchConv(conv.channels, [Branch((), fuse_block(conv))])
 
-    Accepts an already-fused network and returns an equal copy, so the
-    operation is idempotent.
-    """
-    if isinstance(net, FusedNet):
-        return FusedNet(net.config, net.head, list(net.body), net.tail)
-    body = [(fuse_block(c0), fuse_block(c1)) for c0, c1 in net.body]
-    return FusedNet(replace(net.config, branches=1), net.head, body, net.tail)
+    body = [(one(c0), one(c1)) for c0, c1 in net.body]
+    return SRNet(replace(net.config, branches=1), net.head, body, net.tail)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import BackboneConfig, FusedNet, named_params, net_from_params
+from .network import BackboneConfig, named_params, net_from_params
 from .prompt import VisualPrompt
 from .tensor import TensorError
 
@@ -135,15 +135,15 @@ ARCH_FIELDS = {"channels": int, "blocks": int, "branches": int,
                "scale": int, "global_skip": bool}
 
 
-def _arch_header(net) -> dict:
+def _arch_header(config: BackboneConfig) -> dict:
     # "merge" is always "sum"; loaders reject any other value
-    return {"kind": "fused" if isinstance(net, FusedNet) else "training",
-            **asdict(net.config), "merge": "sum"}
+    return {"kind": "fused" if config.branches == 1 else "training",
+            **asdict(config), "merge": "sum"}
 
 
 def save_model(path, net, prompts=(), chunks=None, train_config=None):
-    """Write a network (training or fused) plus its per-chunk prompts."""
-    header = {"arch": _arch_header(net)}
+    """Write a network plus its per-chunk prompts."""
+    header = {"arch": _arch_header(net.config)}
     if chunks is not None:
         header["chunks"] = chunks
     if train_config is not None:
@@ -165,8 +165,6 @@ def _net_from_container(container: ModelContainer):
     for key in ("kind", "merge", *ARCH_FIELDS):
         if key not in arch:
             raise HeaderError(f"architecture header lacks {key!r}")
-    if arch["kind"] not in ("training", "fused"):
-        raise HeaderError(f"unknown architecture kind {arch['kind']!r}")
     if arch["merge"] != "sum":
         raise HeaderError(f"unsupported merge {arch['merge']!r} (only 'sum')")
     for key, kind in ARCH_FIELDS.items():
@@ -177,8 +175,12 @@ def _net_from_container(container: ModelContainer):
         cfg = BackboneConfig(**{key: arch[key] for key in ARCH_FIELDS})
     except ValueError as e:
         raise HeaderError(f"bad architecture: {e}") from None
+    want = _arch_header(cfg)["kind"]
+    if arch["kind"] != want:
+        raise HeaderError(f"architecture kind {arch['kind']!r} does not fit "
+                          f"{cfg.branches} branches (want {want!r})")
     try:
-        return net_from_params(cfg, container.tensors, arch["kind"] == "fused")
+        return net_from_params(cfg, container.tensors)
     except KeyError as e:
         raise HeaderError(f"container missing tensor {e}") from None
     except TensorError as e:

@@ -1,21 +1,22 @@
-"""Training-time SR network built from multi-branch convolution blocks.
+"""SR network built from multi-branch convolution blocks.
 
 A multi-branch block holds M parallel branches; branch i applies i
 consecutive 1x1 convolutions followed by one 3x3 convolution, and the
 branch outputs are summed. Branches contain no nonlinearity, which is
 what makes the block collapsible into a single convolution (see
-``fuse``).
+``fuse``). The delivered network is the same type with M = 1.
 
-Border convention: the block input is zero-padded by one pixel before
-the 1x1 cascade, and the 3x3 convolution then runs without padding.
-The cascade maps the zero ring to its accumulated bias, which is exactly
-the ring value the fused bias term assumes, so fusion is exact at the
-borders too.
+Border convention: the input of a block of M >= 2 branches is
+zero-padded by one pixel before the 1x1 cascade, and the 3x3
+convolutions then run without padding. The cascade maps the zero ring
+to its accumulated bias, which is exactly the ring value the fused bias
+term assumes, so fusion is exact at the borders too. A one-branch block
+has no cascade and runs as one 3x3 convolution at padding 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,44 +114,34 @@ class SRNet:
         return self.config.global_skip
 
 
-@dataclass
-class FusedNet:
-    """Single-branch inference network; body entries are plain conv pairs
-    and ``config.branches`` is 1."""
-
-    config: BackboneConfig
-    head: ConvKernel
-    body: list  # [(ConvKernel, ConvKernel), ...]
-    tail: ConvKernel
-
-    scale = SRNet.scale
-    global_skip = SRNet.global_skip
-
-
 # ---------------------------------------------------------------------------
 # parameter naming (stable order shared by the optimizer and the container)
 # ---------------------------------------------------------------------------
 
-def _branch_names(prefix, branch):
-    for j in range(len(branch.cascade)):
-        yield f"{prefix}.casc{j}.w", branch.cascade[j].weight
-        yield f"{prefix}.casc{j}.b", branch.cascade[j].bias
-    yield f"{prefix}.main.w", branch.main.weight
-    yield f"{prefix}.main.b", branch.main.bias
+def _block_stems(prefix, branches):
+    """Parameter name stems of one body block, as (cascade stems, main
+    stem) per branch. A one-branch block is a plain conv named by its
+    prefix, as fusion delivers it."""
+    if branches == 1:
+        return [((), prefix)]
+    return [([f"{prefix}.br{i}.casc{j}" for j in range(i)], f"{prefix}.br{i}.main")
+            for i in range(branches)]
+
+
+def _block_params(prefix, conv: MultiBranchConv):
+    for (casc, main), br in zip(_block_stems(prefix, conv.num_branches),
+                                conv.branches):
+        for stem, k in zip((*casc, main), (*br.cascade, br.main)):
+            yield f"{stem}.w", k.weight
+            yield f"{stem}.b", k.bias
 
 
 def named_params(net) -> list:
     """Deterministic (name, array) list covering every parameter tensor."""
     out = [("head.w", net.head.weight), ("head.b", net.head.bias)]
-    for bi, (c0, c1) in enumerate(net.body):
-        for ci, conv in ((0, c0), (1, c1)):
-            prefix = f"body{bi}.conv{ci}"
-            if isinstance(conv, MultiBranchConv):
-                for i, br in enumerate(conv.branches):
-                    out.extend(_branch_names(f"{prefix}.br{i}", br))
-            else:
-                out.append((f"{prefix}.w", conv.weight))
-                out.append((f"{prefix}.b", conv.bias))
+    for bi, pair in enumerate(net.body):
+        for ci, conv in enumerate(pair):
+            out.extend(_block_params(f"body{bi}.conv{ci}", conv))
     out.append(("tail.w", net.tail.weight))
     out.append(("tail.b", net.tail.bias))
     return out
@@ -160,34 +151,27 @@ def param_count(net) -> int:
     return sum(int(a.size) for _, a in named_params(net))
 
 
-def net_from_params(config: BackboneConfig, values: dict, fused: bool = False):
+def net_from_params(config: BackboneConfig, values: dict) -> SRNet:
     """Network of ``config``'s shape with its parameters read from ``values``
-    by the names ``named_params`` gives them; an SRNet, or a FusedNet when
-    ``fused``. A missing parameter raises KeyError naming it."""
+    by the names ``named_params`` gives them. A missing parameter raises
+    KeyError naming it."""
 
     def k(name):
         return ConvKernel(values[name + ".w"], values[name + ".b"])
 
     def conv(prefix):
-        if fused:
-            return k(prefix)
         return MultiBranchConv(config.channels, [
-            Branch([k(f"{prefix}.br{i}.casc{j}") for j in range(i)],
-                   k(f"{prefix}.br{i}.main"))
-            for i in range(config.branches)])
+            Branch([k(s) for s in casc], k(main))
+            for casc, main in _block_stems(prefix, config.branches)])
 
-    head = k("head")
     body = [(conv(f"body{b}.conv0"), conv(f"body{b}.conv1"))
             for b in range(config.blocks)]
-    tail = k("tail")
-    if fused:
-        return FusedNet(replace(config, branches=1), head, body, tail)
-    return SRNet(config, head, body, tail)
+    return SRNet(config, k("head"), body, k("tail"))
 
 
-def rebuild_with_params(net, values: dict):
+def rebuild_with_params(net: SRNet, values: dict) -> SRNet:
     """Copy of the network with parameter arrays replaced by ``values``."""
-    return net_from_params(net.config, values, isinstance(net, FusedNet))
+    return net_from_params(net.config, values)
 
 
 # ---------------------------------------------------------------------------
@@ -246,43 +230,40 @@ def leaf_params(tape, net) -> dict:
     return {name: tape.leaf(arr) for name, arr in named_params(net)}
 
 
-def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix=""):
-    """Multi-branch block forward: sum of f_i(g_i(x)).
+def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix):
+    """Body block forward: sum of f_i(g_i(x)), with parameters read from
+    ``params`` under ``prefix``.
 
-    The branch sum is evaluated as one convolution over the
+    A one-branch block is one 3x3 conv at padding 1. Otherwise the
+    branch sum is evaluated as one convolution over the
     channel-concatenated cascade outputs with the branch kernels stacked
     along the input-channel axis; that is the same sum, just as a single
     GEMM.
     """
-    dot = "." if prefix else ""
+    stems = _block_stems(prefix, conv.num_branches)
+    if len(stems) == 1:
+        main = stems[0][1]
+        return ops.conv2d(x, params[f"{main}.w"], params[f"{main}.b"], 1)
     xp = ops.pad_const(x, 1)
     zs = []
-    for i, br in enumerate(conv.branches):
+    for casc, _ in stems:
         z = xp
-        for j in range(len(br.cascade)):
-            z = ops.conv2d(z, params[f"{prefix}{dot}br{i}.casc{j}.w"],
-                           params[f"{prefix}{dot}br{i}.casc{j}.b"], 0)
+        for stem in casc:
+            z = ops.conv2d(z, params[f"{stem}.w"], params[f"{stem}.b"], 0)
         zs.append(z)
-    mains_w = [params[f"{prefix}{dot}br{i}.main.w"] for i in range(conv.num_branches)]
-    mains_b = [params[f"{prefix}{dot}br{i}.main.b"] for i in range(conv.num_branches)]
-    zc = zs[0] if len(zs) == 1 else ops.concat_channels(zs)
-    wst = mains_w[0] if len(mains_w) == 1 else ops.stack_kernels(mains_w)
-    return ops.conv2d(zc, wst, ops.sum_nodes(mains_b), 0)
+    ws = [params[f"{main}.w"] for _, main in stems]
+    bs = [params[f"{main}.b"] for _, main in stems]
+    return ops.conv2d(ops.concat_channels(zs), ops.stack_kernels(ws),
+                      ops.sum_nodes(bs), 0)
 
 
-def net_forward(ops, net, params, x):
+def net_forward(ops, net: SRNet, params, x):
     """Full SR forward on either backend; clamping is the caller's business."""
     scale = net.scale
     u = ops.conv2d(x, params["head.w"], params["head.b"], 1)
     for bi, (c0, c1) in enumerate(net.body):
-        if isinstance(c0, MultiBranchConv):
-            t = mbconv_apply(ops, c0, u, params, f"body{bi}.conv0")
-            t = mbconv_apply(ops, c1, ops.relu(t), params, f"body{bi}.conv1")
-        else:
-            t = ops.conv2d(u, params[f"body{bi}.conv0.w"],
-                           params[f"body{bi}.conv0.b"], 1)
-            t = ops.conv2d(ops.relu(t), params[f"body{bi}.conv1.w"],
-                           params[f"body{bi}.conv1.b"], 1)
+        t = mbconv_apply(ops, c0, u, params, f"body{bi}.conv0")
+        t = mbconv_apply(ops, c1, ops.relu(t), params, f"body{bi}.conv1")
         u = ops.add(u, t)
     y = ops.conv2d(u, params["tail.w"], params["tail.b"], 1)
     y = ops.pixel_shuffle(y, scale)
@@ -293,13 +274,12 @@ def net_forward(ops, net, params, x):
 
 
 def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
-    """Standalone eager forward of one multi-branch block."""
+    """Standalone eager forward of one body block."""
     if x.dims[1] != conv.channels:
         raise ChannelMismatch(
             f"input has {x.dims[1]} channels, block expects {conv.channels}")
-    params = dict(p for i, br in enumerate(conv.branches)
-                  for p in _branch_names(f"br{i}", br))
-    return Tensor4(mbconv_apply(EagerOps, conv, x.data, params))
+    params = dict(_block_params("block", conv))
+    return Tensor4(mbconv_apply(EagerOps, conv, x.data, params, "block"))
 
 
 def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:

@@ -29,6 +29,11 @@ EVAL_FRAME_STRIDE = 10  # evaluate on 1 frame out of 10
 GRID_CELL = 48          # sampler grid cell, HR pixels
 EMA_DECAY = 0.9
 EMA_FLOOR = 0.1         # floor = this fraction of the mean EMA
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+DECAY_EPOCH = 200       # from this epoch on, the learning rate is
+DECAY_FACTOR = 0.5      # scaled by this factor, once
 
 
 # losses kept for the divergence dump
@@ -143,11 +148,6 @@ class TrainConfig:
     iters: int = 2000
     batch: int = 32
     lr_rate: float = 5e-5
-    decay_epoch: int = 200
-    decay_factor: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patch: int = 48
     sampler: str = "loss"  # "loss" (EMA-weighted) or "uniform"
     tvp_size: int = 48     # 0 disables prompts
@@ -242,26 +242,24 @@ class TrainResult:
 
 
 class Adam:
-    def __init__(self, shapes: dict, config: TrainConfig):
+    def __init__(self, shapes: dict):
         self.m = {k: np.zeros(s, np.float32) for k, s in shapes.items()}
         self.v = {k: np.zeros(s, np.float32) for k, s in shapes.items()}
         self.t = 0
-        self.cfg = config
 
     def step(self, params: dict, grads: dict, lr: float):
-        c = self.cfg
         self.t += 1
-        corr1 = 1 - c.beta1 ** self.t
-        corr2 = 1 - c.beta2 ** self.t
+        corr1 = 1 - ADAM_BETA1 ** self.t
+        corr2 = 1 - ADAM_BETA2 ** self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1 - c.beta1) * g
-            v *= c.beta2
-            v += (1 - c.beta2) * g * g
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
             params[name] = params[name] - lr * (m / corr1) / (
-                np.sqrt(v / corr2) + c.eps)
+                np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def _gather_batch(video, refs, patch):
@@ -342,7 +340,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
     params = {name: arr.copy() for name, arr in named_params(net)}
     for p in prompts:
         params[f"prompt{p.chunk_id}"] = p.values.copy()
-    adam = Adam({k: v.shape for k, v in params.items()}, config)
+    adam = Adam({k: v.shape for k, v in params.items()})
     epoch_len = epoch_length(video, config)
 
     result = TrainResult(net=net, prompts=prompts)
@@ -350,8 +348,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
     recent_losses = deque(maxlen=DIVERGED_LOSSES)
     for it in range(config.iters):
         epoch = it // epoch_len
-        lr_t = config.lr_rate * (
-            config.decay_factor if epoch >= config.decay_epoch else 1.0)
+        lr_t = config.lr_rate * (DECAY_FACTOR if epoch >= DECAY_EPOCH else 1.0)
         refs = sampler.sample(config.batch)
         lr_batch, hr_batch = _gather_batch(video, refs, config.patch)
 

@@ -100,6 +100,16 @@ class TestPipelineSmoke:
             + sum(rec["prompt_bytes"])
         assert rec["total_bytes"] == total
 
+    def test_fuse_of_one_branch_container_writes_identical_bytes(self,
+                                                                 synth_video):
+        # the one-branch training network is the delivered network
+        ws = synth_video
+        assert run(*small_train_args(ws, ws / "m1.rcam", iters=5,
+                                     extra=["--branches", 1])) == EXIT_OK
+        assert run("fuse", "--model", ws / "m1.rcam",
+                   "--out", ws / "f1.rcam") == EXIT_OK
+        assert (ws / "f1.rcam").read_bytes() == (ws / "m1.rcam").read_bytes()
+
     def test_baseline_per_chunk_and_per_chunk_costs(self, synth_video):
         ws = synth_video
         run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
@@ -272,6 +282,7 @@ class TestMalformedInputs:
         ("branches", 4, "br3"),            # the tensors hold 3 branches
         ("merge", "concat", "'concat'"),
         ("kind", "other", "'other'"),
+        ("kind", "fused", "kind 'fused' does not fit 3 branches"),
         ("scale", 5, "scale"),
         ("blocks", "1", "'blocks'"),
     ])
@@ -384,6 +395,69 @@ class TestMalformedInputs:
         err = self.one_line(capsys)
         assert "usage error: frame count mismatch: 6 SR vs 1 LR" in err
         assert not (ws / "e.jsonl").exists()
+
+    def test_eval_rejects_scale_outside_1_to_4(self, synth_video, capsys):
+        # --scale 0 used to end in a ZeroDivisionError traceback
+        ws = synth_video
+        capsys.readouterr()
+        assert run("eval", "--sr", ws / "hr", "--hr", ws / "hr", "--lr",
+                   ws / "hr", "--scale", 0, "--records", ws / "e.jsonl") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert "usage error: argument --scale: invalid choice: 0" in err
+        assert not (ws / "e.jsonl").exists()
+
+    def test_eval_rejects_lr_dims_off_scale(self, synth_video, capsys):
+        # 32x32 LR frames for 32x32 SR at x2 used to exit 2 while scoring
+        ws = synth_video
+        capsys.readouterr()
+        assert run("eval", "--sr", ws / "hr", "--hr", ws / "hr", "--lr",
+                   ws / "hr", "--scale", 2, "--records", ws / "e.jsonl") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert ("usage error: LR frames are 32x32, but SR 32x32 at x2 needs "
+                "16x16") in err
+        assert not (ws / "e.jsonl").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["synth", "--frames", 0], "--frames: must be an int >= 1, got '0'"),
+        (["synth", "--height", 8], "--height: must be an int >= 9, got '8'"),
+        (["synth", "--width", 8], "--width: must be an int >= 9, got '8'"),
+        (["verify-fuse", "--tolerance", "nan"],
+         "--tolerance: must be a finite number >= 0, got 'nan'"),
+        (["verify-fuse", "--tolerance", -1],
+         "--tolerance: must be a finite number >= 0, got '-1'"),
+        (["verify-fuse", "--trials", 0], "--trials: must be an int >= 1, got '0'"),
+    ], ids=["synth-frames-0", "synth-height-8", "synth-width-8",
+            "tolerance-nan", "tolerance-negative", "trials-0"])
+    def test_argument_out_of_range_is_one_line_usage_error(self, workspace,
+                                                           capsys, argv,
+                                                           message):
+        self.save_toy_model(workspace / "m.rcam")
+        target = (["--out", workspace / "d"] if argv[0] == "synth"
+                  else ["--model", workspace / "m.rcam"])
+        capsys.readouterr()
+        assert run(argv[0], *target, *argv[1:]) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("usage error:") and message in err
+        assert not (workspace / "d").exists()
+
+    @pytest.mark.parametrize("sizes,message", [
+        (["x", 1, 2], "got ['x', 1, 2]"),
+        ([10, 20], "must be a list of 3 non-negative ints, one per chunk"),
+    ], ids=["str-size", "short-list"])
+    def test_cost_report_bad_size_file_is_one_line_input_error(
+            self, synth_video, capsys, sizes, message):
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        self.save_toy_model(ws / "m.rcam", prompts=3)
+        (ws / "sizes.json").write_text(json.dumps(sizes))
+        capsys.readouterr()
+        assert run("cost-report", "--chunked", ws / "chunked", "--model",
+                   ws / "m.rcam", "--size-file", ws / "sizes.json",
+                   "--records", ws / "c.jsonl") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+        assert not (ws / "c.jsonl").exists()
 
     def test_infer_rejects_prompts_off_chunk_ids(self, synth_video, capsys):
         # prompts 5 and 6 matched no chunk and were skipped without a word

@@ -161,17 +161,31 @@ class TestBackbone:
 
     def test_rebuild_keeps_kind_and_parameters(self):
         from vidsr.fuse import fuse_network
-        from vidsr.network import FusedNet, SRNet, rebuild_with_params
+        from vidsr.network import SRNet, rebuild_with_params
         net = build_backbone(BackboneConfig(channels=4, blocks=2, branches=3,
                                             scale=3), seed=6)
-        for src, kind in ((net, SRNet), (fuse_network(net), FusedNet)):
+        # the training network and its one-branch fusion are one type
+        for src in (net, fuse_network(net)):
             params = dict(named_params(src))
             again = rebuild_with_params(src, params)
-            assert type(again) is kind and again.config == src.config
+            assert type(again) is SRNet and again.config == src.config
             got = dict(named_params(again))
             assert list(got) == list(params)
             for name, arr in params.items():
                 assert got[name].tobytes() == arr.tobytes()
+
+    def test_one_branch_training_forward_records_no_pad(self):
+        # a one-branch block is one 3x3 conv at padding 1 on the tape too
+        from vidsr.autodiff import Tape
+        from vidsr.network import leaf_params, net_forward
+        net = build_backbone(BackboneConfig(channels=4, blocks=2, branches=1,
+                                            scale=2), seed=0)
+        tape = Tape()
+        x = tape.leaf(np.zeros((2, 3, 6, 6), np.float32))
+        net_forward(tape, net, leaf_params(tape, net), x)
+        ops = [n.op for n in tape.nodes]
+        assert "pad_const" not in ops
+        assert ops.count("conv2d") == 2 + 2 * 2
 
     def test_names_are_unique_and_ordered(self):
         cfg = BackboneConfig(channels=4, blocks=2, branches=3, scale=2)
