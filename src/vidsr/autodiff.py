@@ -127,19 +127,28 @@ class Tape:
     # -- heavy primitives ----------------------------------------------------
 
     def conv2d(self, x: Node, w: Node, b: Node, padding: int,
-               pad_values=None) -> Node:
+               pad_values=None, *, relu=False, shuffle=1,
+               residual: Node | None = None) -> Node:
+        """Conv with the epilogue of ``_conv2d``; a residual is a parent."""
         k = w.shape[2]
+        y = _conv2d(x.value, w.value, b.value, padding, pad_values, relu=relu,
+                    shuffle=shuffle,
+                    residual=None if residual is None else residual.value)
 
         def grad(u):
-            return [
+            out = [] if residual is None else [(residual, u)]
+            if relu:  # relu never comes with a residual: y is its output
+                u = u * (y > 0)
+            if shuffle > 1:
+                u = _pixel_unshuffle(u, shuffle)
+            return out + [
                 (x, _conv2d_grad_input(u, w.value, padding, x.shape)),
                 (w, _conv2d_grad_weight(x.value, u, k, padding, pad_values)),
                 (b, _conv2d_grad_bias(u)),
             ]
 
-        return self._record(
-            "conv2d", _conv2d(x.value, w.value, b.value, padding, pad_values),
-            (x, w, b), grad)
+        parents = (x, w, b) if residual is None else (x, w, b, residual)
+        return self._record("conv2d", y, parents, grad)
 
     def pixel_shuffle(self, x: Node, r: int) -> Node:
         return self._record(

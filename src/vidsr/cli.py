@@ -78,16 +78,20 @@ def _int_from(lo):
     return parse
 
 
-def _finite_nonnegative(text):
-    """argparse type: a finite float no less than 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
-    return value
+def _finite(positive):
+    """argparse type: a finite float > 0 if positive, else >= 0."""
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if positive else '>='} 0, "
+                f"got {text!r}")
+        return value
+    return parse
 
 
 def _default_seed() -> int:
@@ -225,15 +229,18 @@ def cmd_train(args) -> int:
                      "boundaries": [list(b) for b in video.boundaries]}
     out = Path(args.out)
     try:
-        if args.baseline_per_chunk:
-            out.mkdir(parents=True, exist_ok=True)
-            results = train_baseline_per_chunk(video, backbone, cfg)
-        else:
-            net = build_backbone(backbone, seed=cfg.seed)
-            prompts = default_prompts(video, cfg.tvp_size)
-            _log(f"train: {param_count(net)} params, {video.num_chunks} "
-                 f"chunks, {len(prompts)} prompts, {cfg.iters} iterations")
-            res = train(net, prompts, video, cfg)
+        # a diverging run overflows before the non-finite loss check stops
+        # it; that check reports it, and numpy's warnings would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.baseline_per_chunk:
+                out.mkdir(parents=True, exist_ok=True)
+                results = train_baseline_per_chunk(video, backbone, cfg)
+            else:
+                net = build_backbone(backbone, seed=cfg.seed)
+                prompts = default_prompts(video, cfg.tvp_size)
+                _log(f"train: {param_count(net)} params, {video.num_chunks} "
+                     f"chunks, {len(prompts)} prompts, {cfg.iters} iterations")
+                res = train(net, prompts, video, cfg)
     except TrainDiverged as e:
         dump = _write_json(_sidecar(out, "diagnostic.json"), e.diagnostic())
         _log(f"numeric failure: {e}")
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--branches", type=int, default=3)
     tp.add_argument("--channels", type=int, default=16)
     tp.add_argument("--blocks", type=int, default=2)
-    tp.add_argument("--tvp-size", type=int, default=48,
+    tp.add_argument("--tvp-size", type=_int_from(0), default=48,
                     help="prompt size in LR pixels; 0 disables prompts")
     tp.add_argument("--sampler", choices=("uniform", "loss"), default="loss")
     tp.add_argument("--baseline-per-chunk", action="store_true",
@@ -475,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--seed", type=int, default=_default_seed())
     tp.add_argument("--epochs", type=int, default=None)
     tp.add_argument("--iters", type=int, default=2000)
-    tp.add_argument("--batch", type=int, default=32)
-    tp.add_argument("--patch", type=int, default=48)
-    tp.add_argument("--lr", type=float, default=5e-5,
+    tp.add_argument("--batch", type=_int_from(1), default=32)
+    tp.add_argument("--patch", type=_int_from(1), default=48)
+    tp.add_argument("--lr", type=_finite(positive=True), default=5e-5,
                     help="learning rate (toy runs converge faster near 2e-3)")
     tp.add_argument("--log", default=None, help="metrics jsonl path")
     tp.set_defaults(fn=cmd_train)
@@ -489,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify-fuse", help="check fused against multi-branch")
     vp.add_argument("--model", required=True)
-    vp.add_argument("--tolerance", type=_finite_nonnegative, default=1e-4)
+    vp.add_argument("--tolerance", type=_finite(positive=False), default=1e-4)
     vp.add_argument("--trials", type=_int_from(1), default=20)
     vp.add_argument("--seed", type=int, default=_default_seed())
     vp.set_defaults(fn=cmd_verify_fuse)

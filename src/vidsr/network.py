@@ -28,8 +28,6 @@ from .tensor import (
     _bicubic_resize,
     _conv2d,
     _pad_const,
-    _pixel_shuffle,
-    _relu,
 )
 
 
@@ -182,20 +180,12 @@ class EagerOps:
     """Array-level mirror of the Tape op surface (no gradients)."""
 
     @staticmethod
-    def conv2d(x, w, b, padding, pad_values=None):
-        return _conv2d(x, w, b, padding, pad_values)
+    def conv2d(x, w, b, padding, pad_values=None, **epilogue):
+        return _conv2d(x, w, b, padding, pad_values, **epilogue)
 
     @staticmethod
     def pad_const(x, p):
         return _pad_const(x, p)
-
-    @staticmethod
-    def relu(x):
-        return _relu(x)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
 
     @staticmethod
     def sum_nodes(items):
@@ -212,10 +202,6 @@ class EagerOps:
     stack_kernels = concat_channels
 
     @staticmethod
-    def pixel_shuffle(x, r):
-        return _pixel_shuffle(x, r)
-
-    @staticmethod
     def bicubic_resize(x, oh, ow):
         return _bicubic_resize(x, oh, ow)
 
@@ -230,9 +216,10 @@ def leaf_params(tape, net) -> dict:
     return {name: tape.leaf(arr) for name, arr in named_params(net)}
 
 
-def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix):
+def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix, **epilogue):
     """Body block forward: sum of f_i(g_i(x)), with parameters read from
-    ``params`` under ``prefix``.
+    ``params`` under ``prefix``, and the conv ``epilogue`` (relu, shuffle,
+    residual) applied by its last conv.
 
     A one-branch block is one 3x3 conv at padding 1. Otherwise the
     branch sum is evaluated as one convolution over the
@@ -243,7 +230,8 @@ def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix):
     stems = _block_stems(prefix, conv.num_branches)
     if len(stems) == 1:
         main = stems[0][1]
-        return ops.conv2d(x, params[f"{main}.w"], params[f"{main}.b"], 1)
+        return ops.conv2d(x, params[f"{main}.w"], params[f"{main}.b"], 1,
+                          **epilogue)
     xp = ops.pad_const(x, 1)
     zs = []
     for casc, _ in stems:
@@ -254,23 +242,26 @@ def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix):
     ws = [params[f"{main}.w"] for _, main in stems]
     bs = [params[f"{main}.b"] for _, main in stems]
     return ops.conv2d(ops.concat_channels(zs), ops.stack_kernels(ws),
-                      ops.sum_nodes(bs), 0)
+                      ops.sum_nodes(bs), 0, **epilogue)
 
 
 def net_forward(ops, net: SRNet, params, x):
-    """Full SR forward on either backend; clamping is the caller's business."""
+    """Full SR forward on either backend; clamping is the caller's business.
+
+    The ReLUs, the residual adds, the pixel shuffle and the bicubic skip
+    run as conv epilogues: relu(conv + bias), shuffle, then + residual.
+    """
     scale = net.scale
     u = ops.conv2d(x, params["head.w"], params["head.b"], 1)
     for bi, (c0, c1) in enumerate(net.body):
-        t = mbconv_apply(ops, c0, u, params, f"body{bi}.conv0")
-        t = mbconv_apply(ops, c1, ops.relu(t), params, f"body{bi}.conv1")
-        u = ops.add(u, t)
-    y = ops.conv2d(u, params["tail.w"], params["tail.b"], 1)
-    y = ops.pixel_shuffle(y, scale)
+        t = mbconv_apply(ops, c0, u, params, f"body{bi}.conv0", relu=True)
+        u = mbconv_apply(ops, c1, t, params, f"body{bi}.conv1", residual=u)
+    skip = None
     if net.global_skip:
         _, _, h, w = x.shape
-        y = ops.add(y, ops.bicubic_resize(x, h * scale, w * scale))
-    return y
+        skip = ops.bicubic_resize(x, h * scale, w * scale)
+    return ops.conv2d(u, params["tail.w"], params["tail.b"], 1,
+                      shuffle=scale, residual=skip)
 
 
 def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
@@ -289,7 +280,7 @@ def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:
     params = dict(named_params(net))
     y = net_forward(EagerOps, net, params, lr.data)
     if clamp:
-        y = np.clip(y, 0, 1)
+        np.clip(y, 0, 1, out=y)
     return Tensor4(y)
 
 

@@ -145,11 +145,12 @@ def _im2col(xp_hwc, k):
 # row u's (O, m) slab, read u*Wp columns further on, is added in place to
 # row 0's. Each output is summed in the same order as by one GEMM per tap
 # row over the whole grid. Grid columns past Wo and rows past Ho mix
-# neighbouring rows or images; the crop into the output drops them and
-# adds the bias. CONV_TILE was timed on the 270x480 frame and the training
-# patches (2-core Xeon, 2 MB L2 per core): at 12288 a 16-channel 3x3
-# tile's stack and GEMM output are 2.5 MB each, split over the two BLAS
-# threads, and it ran 3% faster than 8192; 4096 was 15-25% slower.
+# neighbouring rows or images; the crop into the output drops them, adds
+# the bias and applies the epilogue while the tile is in cache. CONV_TILE
+# was timed on the 270x480 frame and the training patches (2-core Xeon,
+# 2 MB L2 per core): at 12288 a 16-channel 3x3 tile's stack and GEMM
+# output are 2.5 MB each, split over the two BLAS threads, and it ran 3%
+# faster than 8192; 4096 was 15-25% slower.
 CONV_TILE = 12288
 
 
@@ -223,15 +224,22 @@ def _pad_fill(pad_values, dt):
         np.asarray(pad_values, dt)[:, None, None, None]
 
 
-def _correlate(x, w, padding, pad_values=None, bias=None):
-    """Stride-1 NCHW cross-correlation by one stacked GEMM per tile."""
+def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
+               shuffle=1, residual=None):
+    """Stride-1 NCHW cross-correlation by one stacked GEMM per tile, with
+    the epilogue relu(conv + bias), pixel shuffle by ``shuffle``, then
+    + ``residual`` (an array of the output's shape) applied per tile."""
     bb, c, h, ww = x.shape
     o, i, k, _ = w.shape
     dt = x.dtype
     wv = np.asarray(w, dt)
     hp, wp = h + 2 * padding, ww + 2 * padding
     ho, wo = hp - k + 1, wp - k + 1
+    if relu and residual is not None:
+        raise ValueError("relu and residual together are not supported")
     if k == 1 and padding == 0:
+        if relu or shuffle != 1 or residual is not None:
+            raise ValueError("the 1x1 conv at padding 0 takes no epilogue")
         y = np.matmul(wv[:, :, 0, 0], x.reshape(bb, c, h * ww))
         if bias is not None:
             y += np.asarray(bias, dt)[:, None]
@@ -239,13 +247,20 @@ def _correlate(x, w, padding, pad_values=None, bias=None):
     # (K*O, K*I): rows ordered (u, o), columns (v, i) like the stack
     rows = np.ascontiguousarray(wv.transpose(2, 0, 3, 1)).reshape(k * o, k * i)
     fill = _pad_fill(pad_values, dt)
-    bv = None if bias is None else np.asarray(bias, dt)[:, None, None]
+    # y and the residual are written and read per tile through their
+    # (B, O/r^2, r, r, Ho, Wo) pre-shuffle views, r = shuffle
+    grid = (o // shuffle ** 2, shuffle, shuffle)
+    bv = None if bias is None else np.asarray(bias, dt).reshape(grid + (1, 1))
     halo = (k - 1) * wp
     tiles = _conv_tiles(bb, hp, ho, wp, k)
     width = max(nb * ps for _, nb, _, _, ps, _ in tiles) * wp + halo
     stack = _workspace("stack", k * c * width, dt)
     slab = _workspace("slab", k * o * width, dt)
-    y = np.empty((bb, o, ho, wo), dt)
+    y = np.empty((bb, grid[0], ho * shuffle, wo * shuffle), dt)
+    if residual is not None and residual.shape != y.shape:
+        raise ShapeMismatch(f"residual {residual.shape} != output {y.shape}")
+    yv = _unshuffled_view(y, shuffle)
+    rv = None if residual is None else _unshuffled_view(residual, shuffle)
     for b0, nb, r0, r, ps, nr in tiles:
         m = nb * ps * wp
         st = _fill_stack(x, b0, nb, r0, nr, k, padding, fill,
@@ -256,17 +271,23 @@ def _correlate(x, w, padding, pad_values=None, bias=None):
         for u in range(1, k):
             np.add(acc, s[u * o:(u + 1) * o, u * wp:u * wp + m], out=acc)
         valid = acc.reshape(o, nb, ps, wp)[:, :, :r, :wo].transpose(1, 0, 2, 3)
-        yt = y[b0:b0 + nb, :, r0:r0 + r]
+        valid = valid.reshape(nb, *grid, r, wo)
+        yt = yv[b0:b0 + nb, ..., r0:r0 + r, :]
         if bv is None:
             yt[...] = valid
         else:
             np.add(valid, bv, out=yt)
+        if relu:
+            np.maximum(yt, 0, out=yt)
+        if rv is not None:
+            np.add(yt, rv[b0:b0 + nb, ..., r0:r0 + r, :], out=yt)
     return y
 
 
-def _conv2d(x, w, b, padding, pad_values=None):
-    """Stride-1 cross-correlation plus per-output-channel bias."""
-    return _correlate(x, w, padding, pad_values, b)
+def _conv2d(x, w, b, padding, pad_values=None, **epilogue):
+    """Stride-1 cross-correlation plus per-output-channel bias, then the
+    epilogue of ``_correlate`` (relu, shuffle, residual)."""
+    return _correlate(x, w, padding, pad_values, b, **epilogue)
 
 
 def _conv2d_grad_bias(gy):
@@ -333,11 +354,16 @@ def _pixel_shuffle(x, r):
     return np.ascontiguousarray(y).reshape(b, co, h * r, w * r)
 
 
+def _unshuffled_view(a, r):
+    """(B, C, H*r, W*r) array as its (B, C, r, r, H, W) pre-shuffle view."""
+    b, c, h, w = a.shape
+    return a.reshape(b, c, h // r, r, w // r, r).transpose(0, 1, 3, 5, 2, 4)
+
+
 def _pixel_unshuffle(x, r):
     b, c, h, w = x.shape
-    ho, wo = h // r, w // r
-    y = x.reshape(b, c, ho, r, wo, r).transpose(0, 1, 3, 5, 2, 4)
-    return np.ascontiguousarray(y).reshape(b, c * r * r, ho, wo)
+    y = np.ascontiguousarray(_unshuffled_view(x, r))
+    return y.reshape(b, c * r * r, h // r, w // r)
 
 
 def _cubic_weight(t: float) -> float:

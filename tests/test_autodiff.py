@@ -143,6 +143,70 @@ class TestPrimitiveGradients:
 
         assert finite_diff_check(f, rnd((1, 3, 4, 4), 23)) <= 1e-3
 
+    def test_conv2d_relu_epilogue(self):
+        # an L1 loss sends a nonzero gradient to the outputs the relu
+        # zeroed, so a wrong mask shows
+        w = rnd((3, 2, 3, 3), 50)
+        b = rnd((3,), 51)
+        target = rnd((2, 3, 5, 4), 61)
+
+        def f(t, x):
+            y = t.conv2d(x, t.leaf(w), t.leaf(b), 1, relu=True)
+            return t.l1_loss(y, target)
+
+        at = rnd((2, 2, 5, 4), 52)
+        tape = Tape()
+        assert (tape.conv2d(tape.leaf(at), tape.leaf(w), tape.leaf(b), 1,
+                            relu=True).value == 0).any()
+        assert finite_diff_check(f, at) <= 1e-3
+
+        def fw(t, wn):
+            y = t.conv2d(t.leaf(at), wn, t.leaf(b), 1, relu=True)
+            return t.l1_loss(y, target)
+
+        assert finite_diff_check(fw, w) <= 1e-3
+
+    def test_conv2d_residual_epilogue(self):
+        w = rnd((3, 2, 3, 3), 53)
+        b = rnd((3,), 54)
+        x = rnd((2, 2, 5, 4), 55)
+        r = rnd((2, 3, 3, 2), 56)
+
+        def fx(t, xn):
+            y = t.conv2d(xn, t.leaf(w), t.leaf(b), 0, residual=t.leaf(r))
+            return t.sum_all(t.square(y))
+
+        def fr(t, rn):
+            y = t.conv2d(t.leaf(x), t.leaf(w), t.leaf(b), 0, residual=rn)
+            return t.sum_all(t.square(y))
+
+        assert finite_diff_check(fx, x) <= 1e-3
+        assert finite_diff_check(fr, r) <= 1e-3
+
+    def test_conv2d_shuffle_residual_epilogue(self):
+        w = rnd((8, 2, 3, 3), 57)
+        b = rnd((8,), 58)
+        x = rnd((2, 2, 4, 3), 59)
+        s = rnd((2, 2, 8, 6), 60)
+
+        def fx(t, xn):
+            y = t.conv2d(xn, t.leaf(w), t.leaf(b), 1, shuffle=2,
+                         residual=t.leaf(s))
+            return t.sum_all(t.square(y))
+
+        def fs(t, sn):
+            y = t.conv2d(t.leaf(x), t.leaf(w), t.leaf(b), 1, shuffle=2,
+                         residual=sn)
+            return t.sum_all(t.square(y))
+
+        def fb(t, bn):
+            return t.sum_all(t.square(t.conv2d(t.leaf(x), t.leaf(w), bn, 1,
+                                               shuffle=2)))
+
+        assert finite_diff_check(fx, x) <= 1e-3
+        assert finite_diff_check(fs, s) <= 1e-3
+        assert finite_diff_check(fb, b) <= 1e-3
+
     def test_pad_const(self):
         def f(t, x):
             return t.sum_all(t.square(t.pad_const(x, 1)))

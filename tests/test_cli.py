@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -220,14 +221,22 @@ class TestExitCodes:
         assert run("verify-fuse", "--model", ws / "m.rcam",
                    "--tolerance", "0") == EXIT_VALIDATION
 
-    def test_numeric_failure_exits_3_with_dump(self, synth_video):
+    def test_numeric_failure_exits_3_with_dump(self, synth_video, capsys):
         ws = synth_video
-        with np.errstate(all="ignore"):
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rc = run("train", "--frames", ws / "hr", "--out", ws / "x.rcam",
                      "--chunks", 2, "--channels", 4, "--blocks", 1,
                      "--iters", 400, "--batch", 4, "--patch", 16,
                      "--tvp-size", 0, "--lr", "1e18", "--seed", 0)
         assert rc == EXIT_NUMERIC
+        # numpy's overflow warnings no longer precede the report
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.strip().splitlines()
+        assert not any("Warning" in line for line in err)
+        assert err[-2].startswith("numeric failure:")
+        assert err[-1].startswith("diagnostics written to")
         assert not (ws / "vidsr-diagnostic.json").exists()
         dump = json.loads((ws / "x.rcam.diagnostic.json").read_text())
         assert dump["iteration"] >= 1 and dump["lr"] == 1e18
@@ -426,14 +435,27 @@ class TestMalformedInputs:
         (["verify-fuse", "--tolerance", -1],
          "--tolerance: must be a finite number >= 0, got '-1'"),
         (["verify-fuse", "--trials", 0], "--trials: must be an int >= 1, got '0'"),
+        # these trained (NaN weights, exit 0) or ended in a traceback or a
+        # numpy message
+        (["train", "--lr", "nan"], "--lr: must be a finite number > 0, got 'nan'"),
+        (["train", "--lr", "inf"], "--lr: must be a finite number > 0, got 'inf'"),
+        (["train", "--lr", 0], "--lr: must be a finite number > 0, got '0'"),
+        (["train", "--batch", 0], "--batch: must be an int >= 1, got '0'"),
+        (["train", "--batch", -1], "--batch: must be an int >= 1, got '-1'"),
+        (["train", "--patch", 0], "--patch: must be an int >= 1, got '0'"),
+        (["train", "--tvp-size", -1],
+         "--tvp-size: must be an int >= 0, got '-1'"),
     ], ids=["synth-frames-0", "synth-height-8", "synth-width-8",
-            "tolerance-nan", "tolerance-negative", "trials-0"])
+            "tolerance-nan", "tolerance-negative", "trials-0", "lr-nan",
+            "lr-inf", "lr-0", "batch-0", "batch-negative", "patch-0",
+            "tvp-size-negative"])
     def test_argument_out_of_range_is_one_line_usage_error(self, workspace,
                                                            capsys, argv,
                                                            message):
         self.save_toy_model(workspace / "m.rcam")
-        target = (["--out", workspace / "d"] if argv[0] == "synth"
-                  else ["--model", workspace / "m.rcam"])
+        target = {"synth": ["--out", workspace / "d"],
+                  "train": ["--frames", workspace / "hr", "--out", workspace / "d"],
+                  }.get(argv[0], ["--model", workspace / "m.rcam"])
         capsys.readouterr()
         assert run(argv[0], *target, *argv[1:]) == EXIT_USAGE
         err = self.one_line(capsys)

@@ -187,6 +187,34 @@ class TestBackbone:
         assert "pad_const" not in ops
         assert ops.count("conv2d") == 2 + 2 * 2
 
+    @pytest.mark.parametrize("branches", [1, 3])
+    def test_tape_forward_runs_epilogues_in_convs(self, branches):
+        # ReLUs, residual adds, the pixel shuffle and the bicubic skip are
+        # conv epilogues: 2 + 2*blocks block convs (plus the 1x1 cascade),
+        # and bit-equal to the eager forward
+        from vidsr.autodiff import Tape
+        from vidsr.network import leaf_params, net_forward
+        net = build_backbone(BackboneConfig(channels=4, blocks=2,
+                                            branches=branches, scale=2), seed=2)
+        tape = Tape()
+        x = np.random.default_rng(5).random((2, 3, 6, 7)).astype(np.float32)
+        y = net_forward(tape, net, leaf_params(tape, net), tape.leaf(x))
+        ops = [n.op for n in tape.nodes]
+        cascade = 2 * 2 * branches * (branches - 1) // 2
+        assert ops.count("conv2d") == 2 + 2 * 2 + cascade
+        assert not {"relu", "add", "pixel_shuffle"} & set(ops)
+        assert y.value.tobytes() == sr_forward(net, Tensor4(x)).data.tobytes()
+
+    def test_clamp_is_clip_of_forward(self):
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=1,
+                                            scale=2), seed=3)
+        x = Tensor4.from_array(
+            np.random.default_rng(6).random((1, 3, 8, 9)) * 4 - 2)
+        raw = sr_forward(net, x).data
+        assert raw.min() < 0 and raw.max() > 1
+        got = sr_forward(net, x, clamp=True).data
+        assert got.tobytes() == np.clip(raw, 0, 1).tobytes()
+
     def test_names_are_unique_and_ordered(self):
         cfg = BackboneConfig(channels=4, blocks=2, branches=3, scale=2)
         net = build_backbone(cfg, seed=5)

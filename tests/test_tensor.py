@@ -194,6 +194,73 @@ class TestConvTiles:
         assert sorted(rows) == [(b, r) for b in range(3) for r in range(7)]
 
 
+class TestConvEpilogue:
+    """Each conv epilogue is bit-equal to the unfused ops it replaces, at
+    the TestConvTiles tile sizes, in float32 and float64."""
+
+    CASES = [(t, dt, p) for t in TestConvTiles.TILES
+             for dt in (np.float32, np.float64) for p in (0, 1)]
+
+    @staticmethod
+    def operands(dt, p, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((3, 2, 7, 5)).astype(dt)
+        w = rng.standard_normal((8, 2, 3, 3)).astype(dt)
+        b = rng.standard_normal(8).astype(dt)
+        out = (3, 8, 5 + 2 * p, 3 + 2 * p)
+        return rng, x, w, b, out
+
+    @pytest.mark.parametrize("tile,dt,p", CASES)
+    def test_relu(self, monkeypatch, tile, dt, p):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        _, x, w, b, _ = self.operands(dt, p, tile + p)
+        got = T._conv2d(x, w, b, p, relu=True)
+        want = T._relu(T._conv2d(x, w, b, p))
+        assert got.dtype == dt and got.tobytes() == want.tobytes()
+        assert (got == 0).any() and (got > 0).any()
+
+    @pytest.mark.parametrize("tile,dt,p", CASES)
+    def test_residual(self, monkeypatch, tile, dt, p):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        rng, x, w, b, out = self.operands(dt, p, 2 * tile + p)
+        r = rng.standard_normal(out).astype(dt)
+        got = T._conv2d(x, w, b, p, residual=r)
+        assert got.dtype == dt
+        assert got.tobytes() == (T._conv2d(x, w, b, p) + r).tobytes()
+
+    @pytest.mark.parametrize("tile,dt,p", CASES)
+    def test_shuffle_and_residual(self, monkeypatch, tile, dt, p):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        rng, x, w, b, (n, _, ho, wo) = self.operands(dt, p, 3 * tile + p)
+        s = rng.standard_normal((n, 2, 2 * ho, 2 * wo)).astype(dt)
+        y = T._pixel_shuffle(T._conv2d(x, w, b, p), 2)
+        got = T._conv2d(x, w, b, p, shuffle=2, residual=s)
+        assert got.dtype == dt and got.tobytes() == (y + s).tobytes()
+        assert T._conv2d(x, w, b, p, shuffle=2).tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("epilogue", [
+        dict(relu=True), dict(shuffle=2),
+        dict(residual=np.zeros((1, 4, 3, 3)))], ids=["relu", "shuffle", "residual"])
+    def test_1x1_matmul_path_rejects_epilogue(self, epilogue):
+        x = np.zeros((1, 2, 3, 3))
+        with pytest.raises(ValueError, match="1x1"):
+            T._conv2d(x, np.zeros((4, 2, 1, 1)), np.zeros(4), 0, **epilogue)
+
+    def test_relu_with_residual_rejected(self):
+        # the tape's backward masks by the conv output, which a residual
+        # would have moved off the relu's own output
+        x = np.zeros((1, 2, 3, 3))
+        with pytest.raises(ValueError, match="relu and residual"):
+            T._conv2d(x, np.zeros((2, 2, 3, 3)), np.zeros(2), 1, relu=True,
+                      residual=x)
+
+    def test_residual_shape_checked(self):
+        x = np.zeros((2, 2, 3, 3))
+        with pytest.raises(T.ShapeMismatch):   # would broadcast over B
+            T._conv2d(x, np.zeros((2, 2, 3, 3)), np.zeros(2), 1,
+                      residual=np.zeros((1, 2, 3, 3)))
+
+
 class TestPixelShuffle:
     def test_definition_2x2(self):
         x = np.array([1., 2., 3., 4.], np.float32).reshape(1, 4, 1, 1)
@@ -304,8 +371,9 @@ class TestBicubic:
 
 
 class TestElementwise:
-    """Elementwise arithmetic lives on the tape (and as plain numpy in
-    EagerOps); these check the forward values the tape records."""
+    """Elementwise arithmetic lives on the tape (the forward runs its ReLUs
+    and adds as conv epilogues); these check the forward values the tape
+    records."""
 
     def test_add_zero(self):
         t = Tape()
