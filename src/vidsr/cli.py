@@ -316,9 +316,9 @@ def cmd_verify_fuse(args) -> int:
 def cmd_infer(args) -> int:
     net, prompts, _ = model_io.load_model(args.model)
     meta, frames = _load_chunk_dir(Path(args.chunked))
-    if net.scale != meta["scale"]:
-        raise ValueError(f"model upscales x{net.scale}, chunks.json says "
-                         f"x{meta['scale']}")
+    if net.config.scale != meta["scale"]:
+        raise ValueError(f"model upscales x{net.config.scale}, chunks.json "
+                         f"says x{meta['scale']}")
     if len(prompts) not in (0, meta["chunks"]):
         raise ValueError(f"model carries {len(prompts)} prompts, chunks.json "
                          f"has {meta['chunks']} chunks")
@@ -461,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp = sub.add_parser("chunk", help="split into chunks and write LR frames")
     cp.add_argument("--frames", required=True, help="HR frame directory")
     cp.add_argument("--out", required=True)
-    cp.add_argument("--chunks", type=int, default=9)
+    cp.add_argument("--chunks", type=_int_from(1), default=9)
     cp.add_argument("--scale", type=int, default=2, choices=(2, 3, 4))
     cp.set_defaults(fn=cmd_chunk)
 
@@ -470,18 +470,18 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--out", required=True, help="model container path "
                     "(directory in --baseline-per-chunk mode)")
     tp.add_argument("--scale", type=int, default=2, choices=(2, 3, 4))
-    tp.add_argument("--chunks", type=int, default=9)
-    tp.add_argument("--branches", type=int, default=3)
-    tp.add_argument("--channels", type=int, default=16)
-    tp.add_argument("--blocks", type=int, default=2)
+    tp.add_argument("--chunks", type=_int_from(1), default=9)
+    tp.add_argument("--branches", type=_int_from(1), default=3)
+    tp.add_argument("--channels", type=_int_from(1), default=16)
+    tp.add_argument("--blocks", type=_int_from(1), default=2)
     tp.add_argument("--tvp-size", type=_int_from(0), default=48,
                     help="prompt size in LR pixels; 0 disables prompts")
     tp.add_argument("--sampler", choices=("uniform", "loss"), default="loss")
     tp.add_argument("--baseline-per-chunk", action="store_true",
                     help="train independent single-branch models per chunk")
     tp.add_argument("--seed", type=int, default=_default_seed())
-    tp.add_argument("--epochs", type=int, default=None)
-    tp.add_argument("--iters", type=int, default=2000)
+    tp.add_argument("--epochs", type=_int_from(1), default=None)
+    tp.add_argument("--iters", type=_int_from(1), default=2000)
     tp.add_argument("--batch", type=_int_from(1), default=32)
     tp.add_argument("--patch", type=_int_from(1), default=48)
     tp.add_argument("--lr", type=_finite(positive=True), default=5e-5,

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .network import Branch, MultiBranchConv, SRNet
+from .network import Branch, MultiBranchConv, SRNet, _block_stems, net_from_params
 from .tensor import ChannelMismatch, ConvKernel, ShapeMismatch
 
 
@@ -83,8 +83,15 @@ def fuse_network(net: SRNet) -> SRNet:
     """The one-branch network: every body block collapsed into one 3x3
     conv, head and tail copied unchanged. A one-branch network fuses to
     an equal copy, so the operation is idempotent."""
-    def one(conv):
-        return MultiBranchConv(conv.channels, [Branch((), fuse_block(conv))])
+    cfg = net.config
+    values = dict(net.params)
 
-    body = [(one(c0), one(c1)) for c0, c1 in net.body]
-    return SRNet(replace(net.config, branches=1), net.head, body, net.tail)
+    def k(stem):
+        return ConvKernel(values[f"{stem}.w"], values[f"{stem}.b"])
+
+    for prefix in (f"body{b}.conv{c}" for b in range(cfg.blocks) for c in (0, 1)):
+        fused = fuse_block(MultiBranchConv(cfg.channels, [
+            Branch([k(s) for s in casc], k(main))
+            for casc, main in _block_stems(prefix, cfg.branches)]))
+        values[f"{prefix}.w"], values[f"{prefix}.b"] = fused.weight, fused.bias
+    return net_from_params(replace(cfg, branches=1), values)

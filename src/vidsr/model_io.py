@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import BackboneConfig, named_params, net_from_params
+from .network import BackboneConfig, net_from_params
 from .prompt import VisualPrompt
 from .tensor import TensorError
 
@@ -152,7 +152,7 @@ def save_model(path, net, prompts=(), chunks=None, train_config=None):
     header["prompts"] = [
         {"chunk_id": p.chunk_id, "dims": list(p.values.shape)} for p in prompts
     ]
-    tensors = dict(named_params(net))
+    tensors = dict(net.params)
     for p in prompts:
         tensors[f"prompt{p.chunk_id}"] = p.values
     save_container(path, ModelContainer(header, tensors))

@@ -25,6 +25,7 @@ from .tensor import (
     ConvKernel,
     ShapeMismatch,
     Tensor4,
+    _as_f32,
     _bicubic_resize,
     _conv2d,
     _pad_const,
@@ -96,20 +97,11 @@ class BackboneConfig:
 @dataclass
 class SRNet:
     """head conv -> residual blocks of two multi-branch convs -> tail conv
-    + pixel shuffle, with an optional global bicubic skip."""
+    + pixel shuffle, with an optional global bicubic skip. ``params`` holds
+    one float32 array per name of ``param_shapes(config)``, in its order."""
 
     config: BackboneConfig
-    head: ConvKernel
-    body: list  # [(MultiBranchConv, MultiBranchConv), ...]
-    tail: ConvKernel
-
-    @property
-    def scale(self) -> int:
-        return self.config.scale
-
-    @property
-    def global_skip(self) -> bool:
-        return self.config.global_skip
+    params: dict
 
 
 # ---------------------------------------------------------------------------
@@ -126,45 +118,51 @@ def _block_stems(prefix, branches):
             for i in range(branches)]
 
 
-def _block_params(prefix, conv: MultiBranchConv):
-    for (casc, main), br in zip(_block_stems(prefix, conv.num_branches),
-                                conv.branches):
-        for stem, k in zip((*casc, main), (*br.cascade, br.main)):
-            yield f"{stem}.w", k.weight
-            yield f"{stem}.b", k.bias
+def param_shapes(config: BackboneConfig) -> dict:
+    """Every parameter's name and shape, in the one order that
+    initialization, the optimizer and the container share: the head, then
+    each block's branches (cascade 1x1 kernels before the 3x3 main), then
+    the tail."""
+    c = config.channels
+    shapes = {}
+
+    def conv(stem, out_ch, in_ch, k):
+        shapes[f"{stem}.w"] = (out_ch, in_ch, k, k)
+        shapes[f"{stem}.b"] = (out_ch,)
+
+    conv("head", c, 3, 3)
+    for b in range(config.blocks):
+        for ci in range(2):
+            for casc, main in _block_stems(f"body{b}.conv{ci}", config.branches):
+                for stem in casc:
+                    conv(stem, c, c, 1)
+                conv(main, c, c, 3)
+    conv("tail", 3 * config.scale ** 2, c, 3)
+    return shapes
 
 
 def named_params(net) -> list:
     """Deterministic (name, array) list covering every parameter tensor."""
-    out = [("head.w", net.head.weight), ("head.b", net.head.bias)]
-    for bi, pair in enumerate(net.body):
-        for ci, conv in enumerate(pair):
-            out.extend(_block_params(f"body{bi}.conv{ci}", conv))
-    out.append(("tail.w", net.tail.weight))
-    out.append(("tail.b", net.tail.bias))
-    return out
+    return list(net.params.items())
 
 
 def param_count(net) -> int:
-    return sum(int(a.size) for _, a in named_params(net))
+    return sum(int(a.size) for a in net.params.values())
 
 
 def net_from_params(config: BackboneConfig, values: dict) -> SRNet:
     """Network of ``config``'s shape with its parameters read from ``values``
-    by the names ``named_params`` gives them. A missing parameter raises
-    KeyError naming it."""
-
-    def k(name):
-        return ConvKernel(values[name + ".w"], values[name + ".b"])
-
-    def conv(prefix):
-        return MultiBranchConv(config.channels, [
-            Branch([k(s) for s in casc], k(main))
-            for casc, main in _block_stems(prefix, config.branches)])
-
-    body = [(conv(f"body{b}.conv0"), conv(f"body{b}.conv1"))
-            for b in range(config.blocks)]
-    return SRNet(config, k("head"), body, k("tail"))
+    by the names ``param_shapes`` gives them, as read-only contiguous
+    float32 arrays. A missing name raises KeyError naming it, and a wrong
+    shape ShapeMismatch naming it; other names are ignored."""
+    params = {}
+    for name, shape in param_shapes(config).items():
+        a = _as_f32(values[name])
+        if a.shape != shape:
+            raise ShapeMismatch(f"{name} has shape {a.shape}, want {shape}")
+        a.setflags(write=False)
+        params[name] = a
+    return SRNet(config, params)
 
 
 def rebuild_with_params(net: SRNet, values: dict) -> SRNet:
@@ -213,13 +211,14 @@ def TapeOps(tape):
 
 def leaf_params(tape, net) -> dict:
     """Register every network parameter as a tape leaf."""
-    return {name: tape.leaf(arr) for name, arr in named_params(net)}
+    return {name: tape.leaf(arr) for name, arr in net.params.items()}
 
 
-def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix, **epilogue):
-    """Body block forward: sum of f_i(g_i(x)), with parameters read from
-    ``params`` under ``prefix``, and the conv ``epilogue`` (relu, shuffle,
-    residual) applied by its last conv.
+def mbconv_apply(ops, branches, x, params, prefix, **epilogue):
+    """Forward of a body block of ``branches`` branches: sum of
+    f_i(g_i(x)), with parameters read from ``params`` under ``prefix``, and
+    the conv ``epilogue`` (relu, shuffle, residual) applied by its last
+    conv.
 
     A one-branch block is one 3x3 conv at padding 1. Otherwise the
     branch sum is evaluated as one convolution over the
@@ -227,7 +226,7 @@ def mbconv_apply(ops, conv: MultiBranchConv, x, params, prefix, **epilogue):
     along the input-channel axis; that is the same sum, just as a single
     GEMM.
     """
-    stems = _block_stems(prefix, conv.num_branches)
+    stems = _block_stems(prefix, branches)
     if len(stems) == 1:
         main = stems[0][1]
         return ops.conv2d(x, params[f"{main}.w"], params[f"{main}.b"], 1,
@@ -251,13 +250,14 @@ def net_forward(ops, net: SRNet, params, x):
     The ReLUs, the residual adds, the pixel shuffle and the bicubic skip
     run as conv epilogues: relu(conv + bias), shuffle, then + residual.
     """
-    scale = net.scale
+    cfg = net.config
+    m, scale = cfg.branches, cfg.scale
     u = ops.conv2d(x, params["head.w"], params["head.b"], 1)
-    for bi, (c0, c1) in enumerate(net.body):
-        t = mbconv_apply(ops, c0, u, params, f"body{bi}.conv0", relu=True)
-        u = mbconv_apply(ops, c1, t, params, f"body{bi}.conv1", residual=u)
+    for b in range(cfg.blocks):
+        t = mbconv_apply(ops, m, u, params, f"body{b}.conv0", relu=True)
+        u = mbconv_apply(ops, m, t, params, f"body{b}.conv1", residual=u)
     skip = None
-    if net.global_skip:
+    if cfg.global_skip:
         _, _, h, w = x.shape
         skip = ops.bicubic_resize(x, h * scale, w * scale)
     return ops.conv2d(u, params["tail.w"], params["tail.b"], 1,
@@ -269,16 +269,20 @@ def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
     if x.dims[1] != conv.channels:
         raise ChannelMismatch(
             f"input has {x.dims[1]} channels, block expects {conv.channels}")
-    params = dict(_block_params("block", conv))
-    return Tensor4(mbconv_apply(EagerOps, conv, x.data, params, "block"))
+    params = {}
+    for (casc, main), br in zip(_block_stems("block", conv.num_branches),
+                                conv.branches):
+        for stem, k in zip((*casc, main), (*br.cascade, br.main)):
+            params |= {f"{stem}.w": k.weight, f"{stem}.b": k.bias}
+    return Tensor4(mbconv_apply(EagerOps, conv.num_branches, x.data, params,
+                                "block"))
 
 
 def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:
     """Super-resolve one (1,3,h,w) frame (or a batch of them)."""
     if lr.dims[1] != 3:
         raise ChannelMismatch(f"expected 3-channel input, got {lr.dims[1]}")
-    params = dict(named_params(net))
-    y = net_forward(EagerOps, net, params, lr.data)
+    y = net_forward(EagerOps, net, net.params, lr.data)
     if clamp:
         np.clip(y, 0, 1, out=y)
     return Tensor4(y)
@@ -288,38 +292,23 @@ def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:
 # construction
 # ---------------------------------------------------------------------------
 
-def _uniform(rng, shape, bound):
-    return (rng.uniform(-bound, bound, shape)).astype(np.float32)
-
-
-def _init_conv3(rng, out_ch, in_ch):
-    bound = 1.0 / np.sqrt(in_ch * 9)
-    return ConvKernel(_uniform(rng, (out_ch, in_ch, 3, 3), bound),
-                      np.zeros(out_ch, np.float32))
-
-
-def _init_cascade(rng, ch):
-    # near-identity channel map keeps an M-branch block close to M
-    # copies of a plain conv at the start of training
-    w = np.eye(ch, dtype=np.float32).reshape(ch, ch, 1, 1)
-    w = w + _uniform(rng, (ch, ch, 1, 1), 0.01)
-    return ConvKernel(w, np.zeros(ch, np.float32))
-
-
 def build_backbone(config: BackboneConfig, seed: int = 0) -> SRNet:
-    """Randomly initialized multi-branch backbone; deterministic in seed."""
+    """Randomly initialized multi-branch backbone; deterministic in seed.
+
+    3x3 kernels draw U(+-1/sqrt(9 in)) and 1x1 cascade kernels the
+    identity plus U(+-0.01), in ``param_shapes`` order; biases are zero.
+    The near-identity cascade keeps an M-branch block close to M copies
+    of a plain conv at the start of training.
+    """
     rng = np.random.default_rng(seed)
-    c = config.channels
-    head = _init_conv3(rng, c, 3)
-    body = []
-    for _ in range(config.blocks):
-        pair = []
-        for _ in range(2):
-            branches = []
-            for i in range(config.branches):
-                cascade = [_init_cascade(rng, c) for _ in range(i)]
-                branches.append(Branch(cascade, _init_conv3(rng, c, c)))
-            pair.append(MultiBranchConv(c, branches))
-        body.append(tuple(pair))
-    tail = _init_conv3(rng, 3 * config.scale ** 2, c)
-    return SRNet(config, head, body, tail)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape, np.float32)
+        elif shape[2] == 3:
+            bound = 1.0 / np.sqrt(shape[1] * 9)
+            params[name] = rng.uniform(-bound, bound, shape).astype(np.float32)
+        else:
+            params[name] = (np.eye(shape[0], dtype=np.float32).reshape(shape)
+                            + rng.uniform(-0.01, 0.01, shape).astype(np.float32))
+    return net_from_params(config, params)

@@ -17,7 +17,6 @@ from .autodiff import Tape
 from .network import (
     BackboneConfig,
     build_backbone,
-    named_params,
     net_forward,
     rebuild_with_params,
     sr_forward,
@@ -337,7 +336,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
         raise ValueError("prompts must be ordered by chunk id")
     rng = np.random.default_rng(config.seed)
     sampler = PatchSampler(video, config, rng)
-    params = {name: arr.copy() for name, arr in named_params(net)}
+    params = {name: arr.copy() for name, arr in net.params.items()}
     for p in prompts:
         params[f"prompt{p.chunk_id}"] = p.values.copy()
     adam = Adam({k: v.shape for k, v in params.items()})

@@ -356,6 +356,32 @@ class TestMalformedInputs:
         err = self.one_line(capsys)
         assert err.startswith("input error:") and message in err
 
+    @pytest.mark.parametrize("command", ["fuse", "infer"])
+    @pytest.mark.parametrize("shapes,name", [
+        ({"head.w": (4, 5, 3, 3)}, "head.w"),
+        ({"tail.w": (13, 4, 3, 3), "tail.b": (13,)}, "tail.w"),
+        ({"body0.conv0.br2.casc1.w": (4, 4, 3, 3)}, "body0.conv0.br2.casc1.w"),
+    ], ids=["head-5-inputs", "tail-13-outputs", "cascade-3x3"])
+    def test_tensor_of_wrong_shape_is_one_line_input_error(
+            self, synth_video, capsys, command, shapes, name):
+        # the first two loaded: fuse rewrote them and exited 0, and infer
+        # exited 2 with a numpy matmul or reshape message
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        path = ws / "m.rcam"
+        self.save_toy_model(path)
+        c = model_io.load_container(path)
+        tensors = {**c.tensors, **{k: np.zeros(v, np.float32)
+                                   for k, v in shapes.items()}}
+        model_io.save_container(path, model_io.ModelContainer(c.header, tensors))
+        capsys.readouterr()
+        where = ["--chunked", ws / "chunked"] if command == "infer" else []
+        assert run(command, "--model", path, *where, "--out", ws / "out") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and f"{name} has shape" in err
+        assert not (ws / "out").exists()
+
     @pytest.mark.parametrize("command", ["infer", "cost-report"])
     @pytest.mark.parametrize("edit,message", [
         (lambda m: m.pop("boundaries"), "'boundaries' must be 3 int"),
@@ -445,16 +471,30 @@ class TestMalformedInputs:
         (["train", "--patch", 0], "--patch: must be an int >= 1, got '0'"),
         (["train", "--tvp-size", -1],
          "--tvp-size: must be an int >= 0, got '-1'"),
+        # these wrote an untrained container (exit 0) or exited 2 as a
+        # validation error
+        (["train", "--iters", -3], "--iters: must be an int >= 1, got '-3'"),
+        (["train", "--epochs", -1], "--epochs: must be an int >= 1, got '-1'"),
+        (["train", "--chunks", 0], "--chunks: must be an int >= 1, got '0'"),
+        (["train", "--branches", 0],
+         "--branches: must be an int >= 1, got '0'"),
+        (["train", "--channels", 0],
+         "--channels: must be an int >= 1, got '0'"),
+        (["train", "--blocks", 0], "--blocks: must be an int >= 1, got '0'"),
+        (["chunk", "--chunks", 0], "--chunks: must be an int >= 1, got '0'"),
     ], ids=["synth-frames-0", "synth-height-8", "synth-width-8",
             "tolerance-nan", "tolerance-negative", "trials-0", "lr-nan",
             "lr-inf", "lr-0", "batch-0", "batch-negative", "patch-0",
-            "tvp-size-negative"])
+            "tvp-size-negative", "iters-negative", "epochs-negative",
+            "train-chunks-0", "branches-0", "channels-0", "blocks-0",
+            "chunk-chunks-0"])
     def test_argument_out_of_range_is_one_line_usage_error(self, workspace,
                                                            capsys, argv,
                                                            message):
         self.save_toy_model(workspace / "m.rcam")
         target = {"synth": ["--out", workspace / "d"],
                   "train": ["--frames", workspace / "hr", "--out", workspace / "d"],
+                  "chunk": ["--frames", workspace / "hr", "--out", workspace / "d"],
                   }.get(argv[0], ["--model", workspace / "m.rcam"])
         capsys.readouterr()
         assert run(argv[0], *target, *argv[1:]) == EXIT_USAGE

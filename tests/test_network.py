@@ -1,7 +1,13 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vidsr import tensor as T
+from vidsr.fuse import fuse_network
 from vidsr.network import (
     BackboneConfig,
     Branch,
@@ -9,10 +15,12 @@ from vidsr.network import (
     build_backbone,
     mbconv_forward,
     named_params,
+    net_from_params,
     param_count,
+    param_shapes,
     sr_forward,
 )
-from vidsr.tensor import ChannelMismatch, ConvKernel, Tensor4
+from vidsr.tensor import ChannelMismatch, ConvKernel, ShapeMismatch, Tensor4
 
 
 def rnd(shape, seed, scale=0.5):
@@ -221,3 +229,32 @@ class TestBackbone:
         names = [n for n, _ in named_params(net)]
         assert len(names) == len(set(names))
         assert names[0] == "head.w" and names[-1] == "tail.b"
+
+
+def layout(net):
+    return [(name, arr.shape) for name, arr in named_params(net)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(channels=st.integers(1, 5), blocks=st.integers(1, 2),
+       branches=st.integers(1, 4), scale=st.integers(2, 4), data=st.data())
+def test_param_shapes_decides_every_name_and_shape(channels, blocks, branches,
+                                                   scale, data):
+    cfg = BackboneConfig(channels=channels, blocks=blocks, branches=branches,
+                         scale=scale)
+    shapes = param_shapes(cfg)
+    net = build_backbone(cfg, seed=0)
+    assert layout(net) == list(shapes.items())
+    assert param_count(net) == expected_param_count(cfg)
+    fused = fuse_network(net)
+    assert layout(fused) == list(param_shapes(replace(cfg, branches=1)).items())
+    # one tensor of a wrong shape is refused by name, whichever it is
+    for name, shape in shapes.items():
+        bad = list(shape)
+        axis = data.draw(st.integers(0, len(bad)), label=name)
+        if axis == len(bad):
+            bad.append(1)           # one dim too many
+        else:
+            bad[axis] += data.draw(st.sampled_from([-1, 1])) if bad[axis] > 1 else 1
+        with pytest.raises(ShapeMismatch, match=f"^{re.escape(name)} has shape"):
+            net_from_params(cfg, {**net.params, name: np.zeros(bad, np.float32)})
