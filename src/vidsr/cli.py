@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, model_io
+from . import __version__, metrics, model_io, tensor
 from .fuse import fuse_network
 from .network import BackboneConfig, build_backbone, param_count, sr_forward
 from .pipeline import (
@@ -118,10 +118,13 @@ def _write_json(path: Path, obj) -> Path:
 def _write_manifest(out_path: Path, subcommand: str, config: dict,
                     inputs: dict, outputs: list):
     """config is ``vars(args)`` (plus extras); its ``started`` is the
-    perf_counter reading main() took when it began."""
+    perf_counter reading main() took when it began. The thread facts are
+    the BLAS library, the CPU count, the tensor kernels' worker count and
+    the thread count BLAS runs at (null when it cannot be read)."""
     wall = time.perf_counter() - config["started"]
     config = {k: v for k, v in config.items()
               if k not in ("fn", "cmd", "started")}
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -130,6 +133,10 @@ def _write_manifest(out_path: Path, subcommand: str, config: dict,
         "outputs": [str(o) for o in outputs],
         "tool_version": __version__,
         "numpy_version": np.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version")},
+        "cpu_count": os.cpu_count(),
+        "workers": tensor.WORKERS,
+        "blas_threads": tensor.blas_threads(),
         "wall_seconds": wall,
     }
     return _write_json(_sidecar(out_path, "manifest.json"), manifest)

@@ -10,7 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import ShapeMismatch, Tensor4, _band_apply, _band_blocks, bicubic_resize
+from .tensor import (
+    ShapeMismatch,
+    Tensor4,
+    _band_apply,
+    _band_blocks,
+    _parallel,
+    _parts,
+    _workspace,
+    bicubic_resize,
+)
 
 MB = 10 ** 6
 
@@ -71,7 +80,10 @@ def ssim(a: Tensor4, b: Tensor4) -> float:
     11x11 Gaussian window (sigma 1.5), K1=0.01, K2=0.03, dynamic range 1.
     The moment maps x, y, x^2+y^2 and xy (SSIM only needs var_x + var_y)
     are filtered as one stacked float64 array, SSIM_STRIP output rows at
-    a time: one GEMM down the columns, then the banded row filter.
+    a time: one GEMM down the columns, then the banded row filter. The
+    strips are split over the tensor module's workers by the image's
+    output pixels (tensor._parts); per-strip sums are added in strip
+    order.
     """
     if a.dims != b.dims:
         raise ShapeMismatch(f"ssim: dims {a.dims} vs {b.dims}")
@@ -85,22 +97,36 @@ def ssim(a: Tensor4, b: Tensor4) -> float:
     rows = _window_blocks(w)
     c1 = SSIM_K1 ** 2
     c2 = SSIM_K2 ** 2
+    strips = range(0, ho, SSIM_STRIP)
+    parts = _parts(ho * wo)
     total = 0.0
     for i in range(a.dims[0]):
         x = a.data[i].mean(axis=0, dtype=np.float64)
         y = b.data[i].mean(axis=0, dtype=np.float64)
-        for r in range(0, ho, SSIM_STRIP):
+
+        def strip(r):
             s = min(SSIM_STRIP, ho - r)
-            xs, ys = x[r:r + s + n - 1], y[r:r + s + n - 1]
-            m = np.stack([xs, ys, xs * xs + ys * ys, xs * ys], axis=1)
-            m = cols[:s, :s + n - 1] @ m.reshape(s + n - 1, 4 * w)
+            k = s + n - 1
+            xs, ys = x[r:r + k], y[r:r + k]
+            # the moment maps, stacked, and their column-filtered sums are
+            # written into this thread's reused buffers
+            m = _workspace("stack", k * 4 * w, np.float64).reshape(k, 4, w)
+            m[:, 0], m[:, 1] = xs, ys
+            np.multiply(xs, xs, out=m[:, 2])
+            m[:, 2] += ys * ys
+            np.multiply(xs, ys, out=m[:, 3])
+            m = np.matmul(cols[:s, :k], m.reshape(k, 4 * w),
+                          out=_workspace("slab", s * 4 * w, np.float64).reshape(s, 4 * w))
             mu_x, mu_y, e2, exy = _band_apply(
                 m.reshape(4 * s, w), rows, wo, -1).reshape(s, 4, wo).transpose(1, 0, 2)
             mxy = mu_x * mu_y
             m2 = mu_x * mu_x + mu_y * mu_y
             num = (2 * mxy + c1) * (2 * (exy - mxy) + c2)
             den = (m2 + c1) * (e2 - m2 + c2)
-            total += float((num / den).sum())
+            return float((num / den).sum())
+
+        for part in _parallel(strip, strips, parts):
+            total += part
     return total / (a.dims[0] * ho * wo)
 
 

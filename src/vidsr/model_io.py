@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .network import BackboneConfig, net_from_params
+from .network import BackboneConfig, net_from_params, param_shapes
 from .prompt import VisualPrompt
 from .tensor import TensorError
 
@@ -189,7 +189,10 @@ def _net_from_container(container: ModelContainer):
 
 def load_model(path):
     """Returns (net, prompts, header). Self-describing; no extra config.
-    Prompts carry chunk ids 0..n-1 in container order."""
+    Prompts carry chunk ids 0..n-1 in container order. A tensor that is
+    neither a parameter of the header's architecture nor a declared
+    prompt is refused, so a header that understates the architecture
+    cannot load a smaller network."""
     container = load_container(path)
     net = _net_from_container(container)
     entries = container.header.get("prompts", [])
@@ -214,6 +217,12 @@ def load_model(path):
             prompts.append(VisualPrompt(cid, values))
         except TensorError as e:
             raise HeaderError(f"{path}: prompt {cid}: {e}") from None
+    named = set(param_shapes(net.config)) | {f"prompt{p.chunk_id}" for p in prompts}
+    unnamed = sorted(set(container.tensors) - named)
+    if unnamed:
+        raise HeaderError(f"{path}: tensor {unnamed[0]!r} is neither a parameter "
+                          f"of the architecture nor a declared prompt"
+                          f" ({len(unnamed)} such tensors)")
     return net, prompts, container.header
 
 

@@ -154,7 +154,8 @@ def net_from_params(config: BackboneConfig, values: dict) -> SRNet:
     """Network of ``config``'s shape with its parameters read from ``values``
     by the names ``param_shapes`` gives them, as read-only contiguous
     float32 arrays. A missing name raises KeyError naming it, and a wrong
-    shape ShapeMismatch naming it; other names are ignored."""
+    shape ShapeMismatch naming it; other names are ignored (a container
+    with other tensors is refused by ``model_io.load_model``)."""
     params = {}
     for name, shape in param_shapes(config).items():
         a = _as_f32(values[name])

@@ -8,7 +8,11 @@ float64.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -146,11 +150,13 @@ def _im2col(xp_hwc, k):
 # row 0's. Each output is summed in the same order as by one GEMM per tap
 # row over the whole grid. Grid columns past Wo and rows past Ho mix
 # neighbouring rows or images; the crop into the output drops them, adds
-# the bias and applies the epilogue while the tile is in cache. CONV_TILE
-# was timed on the 270x480 frame and the training patches (2-core Xeon,
-# 2 MB L2 per core): at 12288 a 16-channel 3x3 tile's stack and GEMM
-# output are 2.5 MB each, split over the two BLAS threads, and it ran 3%
-# faster than 8192; 4096 was 15-25% slower.
+# the bias and applies the epilogue while the tile is in cache. Each tile
+# runs on one worker thread (see _parallel). CONV_TILE was timed on the
+# 270x480 frame and the training patches (2-core Xeon, 2 MB L2 per core).
+# At 12288 a 16-channel 3x3 tile's stack and GEMM output are 2.5 MB each.
+# With BLAS at two threads it ran 3% faster than 8192, and 4096 was 15-25%
+# slower. With one tile per worker, 6144 was no faster at 16 or 64
+# channels, and delivery frames ran about 5% slower end to end.
 CONV_TILE = 12288
 
 
@@ -173,6 +179,13 @@ def _conv_tiles(bb, hp, ho, wp, k):
             rr = min(r, ho - r0)
             tiles.append((b0, 1, r0, rr, rr, rr + k - 1))
     return tiles
+
+
+def _image_groups(bb, hp, ho, wp, k):
+    """The (b0, nb) image groups of _conv_tiles' tiles, in order: its
+    whole-image tiles, or one image each when it makes row bands."""
+    return list(dict.fromkeys((b0, nb) for b0, nb, *_ in
+                              _conv_tiles(bb, hp, ho, wp, k)))
 
 
 def _fill_stack(x, b0, nb, r0, nr, k, padding, fill, out):
@@ -200,23 +213,130 @@ def _fill_stack(x, b0, nb, r0, nr, k, padding, fill, out):
     return out
 
 
-# Per-thread conv buffers (the shift stack, and the GEMM output slab or
-# grad-weight's embedded gy), kept between calls so that a conv allocates
-# only its result. Every use overwrites the part it reads. With fresh
-# multi-MB buffers per call, grad-weight in the training loop ran about
-# 10% slower than the same code run alone. A thread keeps the largest
-# stack and slab it has used.
+# Per-thread state: two scratch buffers, "stack" and "slab" (a conv's
+# shift stack and its GEMM output slab or grad-weight's embedded gy; an
+# SSIM strip's moment maps and their column-filtered sums), kept between
+# calls so that a conv allocates only its result; and whether the thread
+# is running a share of _parallel. Every use of a buffer overwrites the
+# part it reads. With fresh multi-MB buffers per call, grad-weight in the
+# training loop ran about 10% slower than the same code run alone, and
+# each worker thread's SSIM temporaries added to the peak RSS of delivery.
+# A thread keeps the largest stack and slab it has used, in bytes, shared
+# by every dtype.
 _WORKSPACE = threading.local()
 
 
 def _workspace(slot, size, dt):
     """A flat dt buffer of size elements from this thread's slot, reused
     across calls and grown when too small; its contents are garbage."""
-    key = (slot, np.dtype(dt))
-    buf = _WORKSPACE.__dict__.get(key)
-    if buf is None or buf.size < size:
-        buf = _WORKSPACE.__dict__[key] = np.empty(size, dt)
-    return buf[:size]
+    nbytes = size * np.dtype(dt).itemsize
+    buf = _WORKSPACE.__dict__.get(slot)
+    if buf is None or buf.size < nbytes:
+        buf = _WORKSPACE.__dict__[slot] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dt)
+
+
+# The kernels cut their work into cache-sized pieces (conv tiles,
+# grad-weight's image groups, row or column ranges of a banded resize,
+# SSIM strips) and split the pieces over WORKERS threads: the caller and
+# a pool of WORKERS - 1. WORKERS is the thread count numpy's OpenBLAS
+# started with, so OPENBLAS_NUM_THREADS=1 runs every kernel in turn. A
+# call is split into at most one share per CONV_TILE of work (_parts), as
+# pool round trips slow small calls. Each piece writes its own output
+# rows and reduced partials are added in piece order, so the split does
+# not change results.
+#
+# The first split pins BLAS to one thread, where it stays: each BLAS call
+# made at two threads leaves OpenBLAS's worker spinning into the next
+# split section, and setting one thread around each split section,
+# restoring the count afterwards, ran deliver_270p slower end to end.
+# Until then BLAS keeps its own threads, so what runs before anything
+# splits (a training run's set-up on small frames), or in a process that
+# never splits, runs as it did without the pool: with BLAS pinned at
+# import, training set-up read 25-35% slower. Letting BLAS go back to
+# WORKERS threads whenever a call runs in turn did not make training
+# evaluation (48x48 frames, after the split training steps) measurably
+# faster.
+
+@lru_cache(maxsize=1)
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships in
+    numpy.libs, or None when there is no library exporting them."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def blas_threads():
+    """The thread count BLAS runs at now, or None when it cannot be read."""
+    blas = _openblas()
+    return None if blas is None else blas[0]()
+
+
+def _start_workers():
+    """(WORKERS, pool): WORKERS is the thread count BLAS started with and
+    the pool has WORKERS - 1 threads, started on first use. Without the
+    OpenBLAS symbols, or at one thread: (1, None)."""
+    blas = _openblas()
+    n = blas[0]() if blas is not None else 1
+    if n < 2:
+        return 1, None
+    return n, ThreadPoolExecutor(n - 1, thread_name_prefix="vidsr-worker")
+
+
+WORKERS, _POOL = _start_workers()
+
+
+def _parts(work):
+    """How many shares a call of work elements is split into: one per
+    CONV_TILE of them, at most WORKERS, at least one."""
+    return max(1, min(WORKERS, work // CONV_TILE))
+
+
+def _ranges(n, parts):
+    """[lo, hi) bounds of parts near-equal contiguous ranges of range(n)."""
+    return [(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
+
+
+def _parallel(fn, items, parts=None):
+    """[fn(item) for item in items], cut into min(parts or WORKERS,
+    len(items)) contiguous shares: the caller runs the first, each pool
+    thread one more. Runs in turn without a pool, for one share, and when
+    called from inside a share, so that no share waits on the pool. The
+    first split pins BLAS to one thread."""
+    items = list(items)
+    n = min(parts or WORKERS, len(items))
+    if _POOL is None or n < 2 or getattr(_WORKSPACE, "in_share", False):
+        return [fn(item) for item in items]
+    blas = _openblas()
+    if blas is not None and blas[0]() != 1:
+        blas[1](1)
+    shares = [items[lo:hi] for lo, hi in _ranges(len(items), n)]
+
+    def run(share):
+        _WORKSPACE.in_share = True
+        try:
+            return [fn(item) for item in share]
+        finally:
+            _WORKSPACE.in_share = False
+
+    futures = [_POOL.submit(run, share) for share in shares[1:]]
+    try:
+        out = run(shares[0])
+    finally:
+        wait(futures)
+    for f in futures:
+        out += f.result()
+    return out
 
 
 def _pad_fill(pad_values, dt):
@@ -240,9 +360,17 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
     if k == 1 and padding == 0:
         if relu or shuffle != 1 or residual is not None:
             raise ValueError("the 1x1 conv at padding 0 takes no epilogue")
-        y = np.matmul(wv[:, :, 0, 0], x.reshape(bb, c, h * ww))
-        if bias is not None:
-            y += np.asarray(bias, dt)[:, None]
+        wm, xm = wv[:, :, 0, 0], x.reshape(bb, c, h * ww)
+        y = np.empty((bb, o, h * ww), dt)
+
+        def group(g):
+            b0, nb = g
+            yg = y[b0:b0 + nb]
+            np.matmul(wm, xm[b0:b0 + nb], out=yg)
+            if bias is not None:
+                yg += np.asarray(bias, dt)[:, None]
+
+        _parallel(group, _image_groups(bb, h, h, ww, 1))
         return y.reshape(bb, o, ho, wo)
     # (K*O, K*I): rows ordered (u, o), columns (v, i) like the stack
     rows = np.ascontiguousarray(wv.transpose(2, 0, 3, 1)).reshape(k * o, k * i)
@@ -252,20 +380,19 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
     grid = (o // shuffle ** 2, shuffle, shuffle)
     bv = None if bias is None else np.asarray(bias, dt).reshape(grid + (1, 1))
     halo = (k - 1) * wp
-    tiles = _conv_tiles(bb, hp, ho, wp, k)
-    width = max(nb * ps for _, nb, _, _, ps, _ in tiles) * wp + halo
-    stack = _workspace("stack", k * c * width, dt)
-    slab = _workspace("slab", k * o * width, dt)
     y = np.empty((bb, grid[0], ho * shuffle, wo * shuffle), dt)
     if residual is not None and residual.shape != y.shape:
         raise ShapeMismatch(f"residual {residual.shape} != output {y.shape}")
     yv = _unshuffled_view(y, shuffle)
     rv = None if residual is None else _unshuffled_view(residual, shuffle)
-    for b0, nb, r0, r, ps, nr in tiles:
-        m = nb * ps * wp
+
+    def tile(t):
+        b0, nb, r0, r, ps, nr = t
+        n = nb * ps * wp + halo
+        m = n - halo
         st = _fill_stack(x, b0, nb, r0, nr, k, padding, fill,
-                         stack[:k * c * (m + halo)].reshape(k * c, m + halo))
-        s = slab[:k * o * (m + halo)].reshape(k * o, m + halo)
+                         _workspace("stack", k * c * n, dt).reshape(k * c, n))
+        s = _workspace("slab", k * o * n, dt).reshape(k * o, n)
         np.matmul(rows, st, out=s)
         acc = s[:o, :m]
         for u in range(1, k):
@@ -281,6 +408,8 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
             np.maximum(yt, 0, out=yt)
         if rv is not None:
             np.add(yt, rv[b0:b0 + nb, ..., r0:r0 + r, :], out=yt)
+
+    _parallel(tile, _conv_tiles(bb, hp, ho, wp, k))
     return y
 
 
@@ -295,32 +424,47 @@ def _conv2d_grad_bias(gy):
 
 
 def _conv2d_grad_weight(x, gy, k, padding, pad_values=None):
-    """Weight gradient: per-tap-row GEMMs of the input shifts against gy."""
+    """Weight gradient: per image group, per-tap-row GEMMs of the input
+    shifts against gy; the groups' partial sums are added in group order."""
     bb, c, h, ww = x.shape
     o, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
     dt = gy.dtype
     if k == 1 and padding == 0:
-        g = np.matmul(gy.reshape(bb, o, ho * wo),
-                      x.reshape(bb, c, h * ww).transpose(0, 2, 1)).sum(axis=0)
-        return g.reshape(o, c, 1, 1)
+        gm, xt = gy.reshape(bb, o, ho * wo), x.reshape(bb, c, h * ww).transpose(0, 2, 1)
+        per_image = np.empty((bb, o, c), dt)
+
+        def product(g):
+            b0, nb = g
+            np.matmul(gm[b0:b0 + nb], xt[b0:b0 + nb], out=per_image[b0:b0 + nb])
+
+        _parallel(product, _image_groups(bb, h, h, ww, 1))
+        return per_image.sum(axis=0).reshape(o, c, 1, 1)
     p = padding
     hp, wp = h + 2 * p, ww + 2 * p
-    n = bb * hp * wp
-    span = n - (k - 1) * (wp + 1)
-    # the whole grid as one tile
-    sh = _fill_stack(np.asarray(x, dt), 0, bb, 0, hp, k, p,
-                     _pad_fill(pad_values, dt),
-                     _workspace("stack", k * c * n, dt).reshape(k * c, n))
-    # gy zero-embedded in the padded grid as the (n, O) GEMM operand;
-    # a contiguous (n, O) runs faster here than the transposed (O, n).
-    ge = _workspace("slab", n * o, dt).reshape(bb, hp, wp, o)
-    ge[:, ho:] = 0
-    ge[:, :ho, wo:] = 0
-    ge[:, :ho, :wo] = gy.transpose(0, 2, 3, 1)
-    gt = ge.reshape(-1, o)[:span]
-    g = np.empty((k, k * c, o), dt)
-    for u in range(k):
-        np.matmul(sh[:, u * wp:u * wp + span], gt, out=g[u])
+    xv, fill = np.asarray(x, dt), _pad_fill(pad_values, dt)
+    groups = _image_groups(bb, hp, ho, wp, k)
+    parts = np.empty((len(groups), k, k * c, o), dt)
+
+    def group(j):
+        b0, nb = groups[j]
+        n = nb * hp * wp
+        span = n - (k - 1) * (wp + 1)
+        sh = _fill_stack(xv, b0, nb, 0, hp, k, p, fill,
+                         _workspace("stack", k * c * n, dt).reshape(k * c, n))
+        # gy zero-embedded in the padded grid as the (n, O) GEMM operand;
+        # a contiguous (n, O) runs faster here than the transposed (O, n).
+        ge = _workspace("slab", n * o, dt).reshape(nb, hp, wp, o)
+        ge[:, ho:] = 0
+        ge[:, :ho, wo:] = 0
+        ge[:, :ho, :wo] = gy[b0:b0 + nb].transpose(0, 2, 3, 1)
+        gt = ge.reshape(-1, o)[:span]
+        for u in range(k):
+            np.matmul(sh[:, u * wp:u * wp + span], gt, out=parts[j, u])
+
+    _parallel(group, range(len(groups)))
+    g = parts[0]
+    for part in parts[1:]:
+        g += part
     return np.ascontiguousarray(g.reshape(k, k, c, o).transpose(3, 2, 0, 1))
 
 
@@ -410,18 +554,33 @@ def _band_blocks(m, dtype):
 
 
 def _band_apply(x, blocks, n_out, axis):
-    """Multiply the banded matrix of ``blocks`` into axis -1 or -2 of x."""
+    """Multiply the banded matrix of ``blocks`` into axis -1 or -2 of x.
+    The work is split over the leading rows of x (axis -1) or its columns
+    (axis -2), which no GEMM sums over, by the smaller of x and the
+    result: a 96x96 frame's passes stay in turn."""
     shape = list(x.shape)
     shape[axis] = n_out
     y = np.empty(shape, x.dtype)
     if axis == -1:
         x2 = x.reshape(-1, x.shape[-1])
         y2 = y.reshape(-1, n_out)
-        for lo, hi, a, b, mb in blocks:
-            np.matmul(x2[:, a:b], mb.T, out=y2[:, lo:hi])
+        n = x2.shape[0]
+
+        def share(i, j):
+            for lo, hi, a, b, mb in blocks:
+                np.matmul(x2[i:j, a:b], mb.T, out=y2[i:j, lo:hi])
     else:
-        for lo, hi, a, b, mb in blocks:
-            np.matmul(mb, x[..., a:b, :], out=y[..., lo:hi, :])
+        n = x.shape[-1]
+
+        def share(i, j):
+            for lo, hi, a, b, mb in blocks:
+                np.matmul(mb, x[..., a:b, i:j], out=y[..., lo:hi, i:j])
+
+    parts = _parts(min(x.size, y.size))
+    if parts == 1:   # skips _parallel's cost, a few us, on small passes
+        share(0, n)
+    else:
+        _parallel(lambda r: share(*r), _ranges(n, parts))
     return y
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import warnings
@@ -6,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vidsr import model_io
+from vidsr import model_io, tensor
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from vidsr.metrics import psnr
 from vidsr.network import BackboneConfig, build_backbone, named_params
@@ -200,6 +201,15 @@ class TestManifests:
             assert manifest["numpy_version"] == np.__version__
             assert 0 < manifest["wall_seconds"] < 600
 
+    def test_manifest_records_blas_and_threads(self, synth_video):
+        ws = synth_video
+        manifest = json.loads((ws / "hr" / "manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["cpu_count"] == os.cpu_count()
+        assert manifest["workers"] == tensor.WORKERS >= 1
+        assert manifest["blas_threads"] == tensor.blas_threads()
+
     def test_train_determinism_byte_identical(self, synth_video):
         ws = synth_video
         run(*small_train_args(ws, ws / "a.rcam", iters=12, seed=9))
@@ -280,8 +290,8 @@ class TestMalformedInputs:
         return err
 
     @staticmethod
-    def save_toy_model(path, scale=2, prompts=0):
-        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=3,
+    def save_toy_model(path, scale=2, prompts=0, branches=3):
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=branches,
                                             scale=scale), seed=0)
         model_io.save_model(path, net, [make_prompt(k, 4) for k in range(prompts)])
 
@@ -380,6 +390,33 @@ class TestMalformedInputs:
         assert run(command, "--model", path, *where, "--out", ws / "out") == EXIT_USAGE
         err = self.one_line(capsys)
         assert err.startswith("input error:") and f"{name} has shape" in err
+        assert not (ws / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fuse", "infer"])
+    @pytest.mark.parametrize("branches,extra,name", [
+        (4, {}, "body0.conv0.br3."),     # M=4 tensors under an M=3 header
+        (3, {"prompt2": (3, 4, 4)}, "'prompt2'"),   # no prompt entry
+        (3, {"notes": (1,)}, "'notes'"),
+    ], ids=["understated-branches", "undeclared-prompt", "stray"])
+    def test_unnamed_tensor_is_one_line_input_error(
+            self, synth_video, capsys, command, branches, extra, name):
+        # each used to be dropped on load without a word
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 2, "--scale", 2) == EXIT_OK
+        path = ws / "m.rcam"
+        self.save_toy_model(path, prompts=2, branches=branches)
+        c = model_io.load_container(path)
+        header = {**c.header, "arch": {**c.header["arch"], "branches": 3}}
+        tensors = {**c.tensors, **{k: np.zeros(v, np.float32)
+                                   for k, v in extra.items()}}
+        model_io.save_container(path, model_io.ModelContainer(header, tensors))
+        capsys.readouterr()
+        where = ["--chunked", ws / "chunked"] if command == "infer" else []
+        assert run(command, "--model", path, *where, "--out", ws / "out") == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and name in err
+        assert "neither a parameter" in err
         assert not (ws / "out").exists()
 
     @pytest.mark.parametrize("command", ["infer", "cost-report"])

@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -113,6 +114,22 @@ class TestSsim:
     def test_too_small_rejected(self):
         with pytest.raises(ShapeMismatch):
             ssim(Tensor4.zeros(1, 3, 8, 8), Tensor4.zeros(1, 3, 8, 8))
+
+    def test_split_strips_give_the_serial_bytes(self, split_and_serial):
+        # a 540x960 frame pair: 17 strips, each running a banded row filter
+        # that would split too were it not called from inside a share; a
+        # share that split over its own busy pool could wait forever (the
+        # test pool refuses that, and the timeout backs it up)
+        a = t4(rnd((1, 3, 540, 960), 16))
+        b = t4(np.clip(a.data + 0.05 * rnd((1, 3, 540, 960), 17), 0, 1))
+        result = []
+        t = threading.Thread(target=lambda: result.append(
+            split_and_serial(lambda: ssim(a, b))), daemon=True)
+        t.start()
+        t.join(timeout=120)
+        assert not t.is_alive(), "ssim did not finish"
+        split, serial, submits = result[0]
+        assert split == serial and submits == 2
 
 
 class TestConsistency:

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from vidsr import metrics as M
 from vidsr import tensor as T
 from vidsr.autodiff import Tape
 
+from conftest import CountingPool
 from oracles import bicubic_oracle, conv2d_oracle
 
 
@@ -259,6 +261,167 @@ class TestConvEpilogue:
         with pytest.raises(T.ShapeMismatch):   # would broadcast over B
             T._conv2d(x, np.zeros((2, 2, 3, 3)), np.zeros(2), 1,
                       residual=np.zeros((1, 2, 3, 3)))
+
+
+class TestWorkers:
+    """Kernels split over workers give the bytes they give in turn, and
+    calls too small to gain from the pool stay in turn."""
+
+    @staticmethod
+    def arrays(seed, *shapes, dt=np.float32):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(s).astype(dt) for s in shapes]
+
+    def test_conv_on_frame_row_bands(self, split_and_serial):
+        x, w, b = self.arrays(0, (1, 8, 130, 200), (8, 8, 3, 3), (8,))
+        tiles = T._conv_tiles(1, 132, 130, 202, 3)
+        assert len(tiles) >= 2 and all(nb == 1 for _, nb, *_ in tiles)
+        split, serial, submits = split_and_serial(
+            lambda: T._conv2d(x, w, b, 1, relu=True))
+        assert split == serial and submits == 2
+        split, serial, submits = split_and_serial(
+            lambda: T._conv2d_grad_input(x, w, 1, x.shape))
+        assert split == serial and submits == 2
+
+    def test_splits_are_sized_by_work_at_many_workers(self, monkeypatch):
+        # 64 workers: tiles keep their size, and a call gets one share
+        # per CONV_TILE of work, however many workers there are
+        tile = T.CONV_TILE
+        for workers in (1, 2, 64):
+            monkeypatch.setattr(T, "WORKERS", workers)
+            tiles = T._conv_tiles(1, 272, 270, 482, 3)   # the 270x480 frame
+            assert len(tiles) == 11
+            assert sum(r for _, _, _, r, _, _ in tiles) == 270
+            assert [T._parts(n) for n in (1, 2 * tile - 1, 2 * tile, 100 * tile)] \
+                == [1, 1, min(2, workers), min(100, workers)]
+        pool = CountingPool(2)
+        monkeypatch.setattr(T, "_POOL", pool)
+        hr, sr = self.arrays(6, (1, 3, 540, 960), (1, 3, 540, 960))
+        T._bicubic_resize(hr, 270, 480)
+        # each pass: the smaller of its input and output, over CONV_TILE
+        assert pool.submits == (3 * 540 * 480 // tile - 1) + (3 * 270 * 480 // tile - 1)
+        before = pool.submits
+        M.ssim(T.Tensor4(hr), T.Tensor4(sr))
+        strips = -(-530 // M.SSIM_STRIP)
+        assert pool.submits - before == min(strips, 530 * 950 // tile) - 1
+        pool.shutdown()
+
+    def test_conv_on_two_whole_image_tiles(self, split_and_serial):
+        # the training patches: 32 of 24x24 at 16 channels
+        x, w, b, r = self.arrays(1, (32, 16, 24, 24), (16, 16, 3, 3), (16,),
+                                 (32, 4, 48, 48))
+        assert [nb for _, nb, *_ in T._conv_tiles(32, 26, 24, 26, 3)] == [16, 16]
+        split, serial, submits = split_and_serial(
+            lambda: T._conv2d(x, w, b, 1, shuffle=2, residual=r))
+        assert split == serial and submits == 1
+
+    def test_1x1_path(self, split_and_serial):
+        x, w, b, gy = self.arrays(2, (32, 16, 26, 26), (8, 16, 1, 1), (8,),
+                                  (32, 8, 26, 26))
+        for fn in (lambda: T._conv2d(x, w, b, 0),
+                   lambda: T._conv2d_grad_input(gy, w, 0, x.shape),
+                   lambda: T._conv2d_grad_weight(x, gy, 1, 0)):
+            split, serial, submits = split_and_serial(fn)
+            assert split == serial and submits == 1
+
+    @pytest.mark.parametrize("tile,shape,groups", [
+        (1, (3, 2, 7, 5), 3), (16, (3, 2, 7, 5), 3),
+        (12288, (32, 16, 24, 24), 2)])
+    def test_grad_weight(self, monkeypatch, split_and_serial, tile, shape,
+                         groups):
+        monkeypatch.setattr(T, "CONV_TILE", tile)
+        b, c, h, w = shape
+        x, gy = self.arrays(3, shape, (b, 4, h, w), dt=np.float64)
+        assert len(T._image_groups(b, h + 2, h, w + 2, 3)) == groups
+        split, serial, submits = split_and_serial(
+            lambda: T._conv2d_grad_weight(x, gy, 3, 1, np.arange(c) / c))
+        assert split == serial and submits == groups - 1
+
+    def test_bicubic_at_540x960(self, split_and_serial):
+        hr, lr = self.arrays(4, (1, 3, 540, 960), (1, 3, 270, 480))
+        for fn in (lambda: T._bicubic_resize(hr, 270, 480),
+                   lambda: T._bicubic_resize(lr, 540, 960),
+                   lambda: T._bicubic_resize(hr, 270, 480, transpose=True)):
+            split, serial, submits = split_and_serial(fn)
+            assert split == serial and submits == 4   # 2 per pass
+
+    @pytest.mark.parametrize("call", [
+        # make_lr on a training frame, and the 48x48 eval frame's skip
+        lambda a: T._bicubic_resize(a, 48, 48),
+        lambda a: T._bicubic_resize(a[..., :48, :48], 96, 96),
+        # a conv on the 48x48 eval frame, and a 1x1 conv at batch 1
+        lambda a: T._conv2d(a[:, :, :48, :48], np.ones((4, 3, 3, 3), a.dtype),
+                            None, 1),
+        lambda a: T._conv2d(a, np.ones((4, 3, 1, 1), a.dtype), None, 0),
+    ], ids=["make-lr-96", "skip-48", "conv-48", "1x1-batch-1"])
+    def test_small_calls_stay_in_turn(self, split_and_serial, call):
+        (a,) = self.arrays(5, (1, 3, 96, 96))
+        split, serial, submits = split_and_serial(lambda: call(a))
+        assert split == serial and submits == 0
+
+    def test_tiled_grad_weight_matches_oracle(self, monkeypatch,
+                                              split_and_serial):
+        # the groups' partial sums against <gy, conv(x, e)> for each unit
+        # kernel e, at a tile that makes 3 groups of 2, 2 and 1 images
+        rng = np.random.default_rng(8)
+        for p in (0, 1):
+            x = rng.standard_normal((5, 2, 7, 5))
+            gy = rng.standard_normal((5, 4, 5 + 2 * p, 3 + 2 * p))
+            pv = rng.standard_normal(2) if p else None
+            hp, wp = 7 + 2 * p, 5 + 2 * p
+            monkeypatch.setattr(T, "CONV_TILE", 2 * hp * wp)
+            assert T._image_groups(5, hp, hp - 2, wp, 3) == [(0, 2), (2, 2), (4, 1)]
+            want = np.empty((4, 2, 3, 3))
+            for ch, u, v in np.ndindex(2, 3, 3):
+                e = np.zeros((1, 2, 3, 3))
+                e[0, ch, u, v] = 1
+                y = conv2d_oracle(x, e, np.zeros(1), p, pv)[:, 0]
+                want[:, ch, u, v] = np.einsum("bohw,bhw->o", gy, y)
+            got = T._conv2d_grad_weight(x, gy, 3, p, pv)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            split, serial, submits = split_and_serial(
+                lambda: T._conv2d_grad_weight(x, gy, 3, p, pv))
+            assert split == serial and submits == 2
+
+    def test_pool_matches_workers(self):
+        if T._POOL is None:
+            assert T.WORKERS == 1
+        else:
+            assert T._POOL._max_workers == T.WORKERS - 1
+
+    def test_start_sizes_pool_and_leaves_blas(self, monkeypatch):
+        pinned = []
+        monkeypatch.setattr(T, "_openblas", lambda: (lambda: 4, pinned.append))
+        workers, pool = T._start_workers()
+        pool.shutdown()
+        assert workers == 4 and pool._max_workers == 3 and pinned == []
+
+    def test_first_split_pins_blas(self, monkeypatch, split_and_serial):
+        sets = []
+        monkeypatch.setattr(T, "_openblas", lambda: (
+            lambda: sets[-1] if sets else 2, sets.append))
+        (a,) = self.arrays(7, (1, 3, 96, 96))
+        # make_lr's passes on a 96x96 frame run in turn and leave BLAS at
+        # its threads; a 2x upscale splits and pins it to one, once
+        split_and_serial(lambda: T._bicubic_resize(a, 48, 48))
+        assert sets == []
+        split_and_serial(lambda: T._bicubic_resize(a, 192, 192))
+        split_and_serial(lambda: T._bicubic_resize(a, 48, 48))
+        assert sets == [1]
+
+    def test_without_blas_symbols_there_is_no_pool(self, monkeypatch):
+        before = T.blas_threads()
+
+        class NoSymbols:
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(T.ctypes, "CDLL", NoSymbols)
+        assert T._openblas.__wrapped__() is None
+        monkeypatch.setattr(T, "_openblas", T._openblas.__wrapped__)
+        assert T._start_workers() == (1, None)
+        monkeypatch.undo()
+        assert T.blas_threads() == before
 
 
 class TestPixelShuffle:
