@@ -235,6 +235,7 @@ def cmd_train(args) -> int:
     chunks_header = {"count": video.num_chunks,
                      "boundaries": [list(b) for b in video.boundaries]}
     out = Path(args.out)
+    tvp_side = 0  # the side the trained prompts have; the baseline has none
     try:
         # a diverging run overflows before the non-finite loss check stops
         # it; that check reports it, and numpy's warnings would repeat it
@@ -245,6 +246,7 @@ def cmd_train(args) -> int:
             else:
                 net = build_backbone(backbone, seed=cfg.seed)
                 prompts = default_prompts(video, cfg.tvp_size)
+                tvp_side = prompts[0].size_h if prompts else 0
                 _log(f"train: {param_count(net)} params, {video.num_chunks} "
                      f"chunks, {len(prompts)} prompts, {cfg.iters} iterations")
                 res = train(net, prompts, video, cfg)
@@ -253,6 +255,8 @@ def cmd_train(args) -> int:
         _log(f"numeric failure: {e}")
         _log(f"diagnostics written to {dump}")
         return EXIT_NUMERIC
+    # --tvp-size is clipped to the LR frame; the manifest records the result
+    config = vars(args) | {"resolved": cfg.snapshot() | {"tvp_size": tvp_side}}
 
     if args.baseline_per_chunk:
         outputs = []
@@ -268,7 +272,7 @@ def cmd_train(args) -> int:
             _log(f"train[baseline chunk {k}]: loss {res.first_loss:.4f} -> "
                  f"{res.final_loss:.4f}")
         _write_records(out / "metrics.jsonl", records)
-        _write_manifest(out, "train", vars(args) | {"resolved": cfg.snapshot()},
+        _write_manifest(out, "train", config,
                         {"frames": args.frames}, outputs)
         return EXIT_OK
 
@@ -280,7 +284,7 @@ def cmd_train(args) -> int:
                         train_config=cfg.snapshot())
     log_path = args.log or str(out) + ".metrics.jsonl"
     _write_records(log_path, res.log)
-    _write_manifest(out, "train", vars(args) | {"resolved": cfg.snapshot()},
+    _write_manifest(out, "train", config,
                     {"frames": args.frames}, [out, Path(log_path)])
     _log(f"train: wrote {out}")
     return EXIT_OK

@@ -13,6 +13,7 @@ out-of-band configuration.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -109,7 +110,7 @@ def load_container(path) -> ModelContainer:
                 and all(type(d) is int and d >= 0 for d in dims)):
             raise HeaderError(f"{path}: manifest entry {entry['name']!r} "
                               f"lacks int dims, got {dims!r}")
-    counts = [int(np.prod(entry["dims"])) for entry in manifest]
+    counts = [math.prod(entry["dims"]) for entry in manifest]
     payload_len = sum(counts) * 4
     start = 10 + hlen
     if len(raw) < start + payload_len + 4:
@@ -228,7 +229,7 @@ def load_model(path):
 
 def prompt_payload_bytes(header) -> list:
     """Raw float32 byte size of each serialized prompt, container order."""
-    return [int(np.prod(e["dims"])) * 4 for e in header.get("prompts", [])]
+    return [math.prod(e["dims"]) * 4 for e in header.get("prompts", [])]
 
 
 # ---------------------------------------------------------------------------

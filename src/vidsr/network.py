@@ -69,10 +69,11 @@ class MultiBranchConv:
                 raise ShapeMismatch(
                     f"branch {i} must carry exactly {i} cascade kernels, "
                     f"has {len(br.cascade)}")
-            if br.main.in_channels != self.channels:
-                raise ChannelMismatch("branch input width != block channels")
-            if br.main.out_channels != self.channels:
-                raise ChannelMismatch("branch output width != block channels")
+            for k in (*br.cascade, br.main):
+                if (k.in_channels, k.out_channels) != (self.channels,) * 2:
+                    raise ChannelMismatch(
+                        f"branch {i} has a {k.in_channels}->{k.out_channels} "
+                        f"kernel in a block of {self.channels} channels")
 
     @property
     def num_branches(self) -> int:
@@ -265,18 +266,24 @@ def net_forward(ops, net: SRNet, params, x):
                       shuffle=scale, residual=skip)
 
 
-def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
-    """Standalone eager forward of one body block."""
-    if x.dims[1] != conv.channels:
-        raise ChannelMismatch(
-            f"input has {x.dims[1]} channels, block expects {conv.channels}")
+def block_params(conv: MultiBranchConv) -> dict:
+    """The block's kernels as a name->array dict, under the names that
+    ``_block_stems`` gives a block of prefix ``block``."""
     params = {}
     for (casc, main), br in zip(_block_stems("block", conv.num_branches),
                                 conv.branches):
         for stem, k in zip((*casc, main), (*br.cascade, br.main)):
             params |= {f"{stem}.w": k.weight, f"{stem}.b": k.bias}
-    return Tensor4(mbconv_apply(EagerOps, conv.num_branches, x.data, params,
-                                "block"))
+    return params
+
+
+def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
+    """Standalone eager forward of one body block."""
+    if x.dims[1] != conv.channels:
+        raise ChannelMismatch(
+            f"input has {x.dims[1]} channels, block expects {conv.channels}")
+    return Tensor4(mbconv_apply(EagerOps, conv.num_branches, x.data,
+                                block_params(conv), "block"))
 
 
 def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:

@@ -104,3 +104,53 @@ def ssim_oracle(a, b, window, k1=0.01, k2=0.03, drange=1.0):
             vals.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
                         / ((mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)))
     return float(np.mean(vals))
+
+
+def pixel_shuffle_oracle(y, r):
+    """Depth-to-space from its definition:
+    out[n, c, h*r + i, w*r + j] = y[n, c*r*r + i*r + j, h, w]."""
+    b, c, h, w = y.shape
+    out = np.zeros((b, c // (r * r), h * r, w * r), np.float64)
+    for ch in range(c):
+        co, k = divmod(ch, r * r)
+        i, j = divmod(k, r)
+        out[:, co, i::r, j::r] = y[:, ch]
+    return out
+
+
+def block_oracle(x, params, prefix, branches):
+    """One body block from the border convention: a one-branch block is a
+    3x3 conv at padding 1 under ``prefix``; otherwise the input is
+    zero-padded by one, branch i runs its i 1x1 convs
+    (``{prefix}.br{i}.casc{j}``) and its 3x3 (``{prefix}.br{i}.main``)
+    unpadded, and the branch outputs are summed."""
+    if branches == 1:
+        return conv2d_oracle(x, params[f"{prefix}.w"], params[f"{prefix}.b"], 1)
+    b, c, h, w = x.shape
+    padded = np.zeros((b, c, h + 2, w + 2), np.float64)
+    padded[:, :, 1:-1, 1:-1] = x
+    total = 0.0
+    for i in range(branches):
+        z = padded
+        for j in range(i):
+            stem = f"{prefix}.br{i}.casc{j}"
+            z = conv2d_oracle(z, params[f"{stem}.w"], params[f"{stem}.b"], 0)
+        stem = f"{prefix}.br{i}.main"
+        total = total + conv2d_oracle(z, params[f"{stem}.w"], params[f"{stem}.b"], 0)
+    return total
+
+
+def srnet_oracle(config, params, x):
+    """Whole SR network in float64 from its definition: head conv, then per
+    block u + conv1(relu(conv0(u))), then the tail conv, the pixel shuffle
+    and, with ``config.global_skip``, the bicubic upscale of ``x``."""
+    u = conv2d_oracle(x, params["head.w"], params["head.b"], 1)
+    for blk in range(config.blocks):
+        t = np.maximum(block_oracle(u, params, f"body{blk}.conv0", config.branches), 0)
+        u = u + block_oracle(t, params, f"body{blk}.conv1", config.branches)
+    r = config.scale
+    y = pixel_shuffle_oracle(conv2d_oracle(u, params["tail.w"], params["tail.b"], 1), r)
+    if config.global_skip:
+        _, _, h, w = x.shape
+        y = y + bicubic_oracle(x, h * r, w * r)
+    return y

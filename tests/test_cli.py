@@ -210,6 +210,19 @@ class TestManifests:
         assert manifest["workers"] == tensor.WORKERS >= 1
         assert manifest["blas_threads"] == tensor.blas_threads()
 
+    def test_manifest_records_prompt_side_clipped_to_frame(self, synth_video):
+        # 32x32 HR at x2: 16x16 LR frames, so --tvp-size 100 trains 16x16
+        ws = synth_video
+        assert run(*small_train_args(ws, ws / "m.rcam", iters=2,
+                                     extra=("--tvp-size", 100))) == EXIT_OK
+        tm = json.loads((ws / "m.rcam.manifest.json").read_text())
+        assert tm["config"]["tvp_size"] == 100
+        assert tm["config"]["resolved"]["tvp_size"] == 16
+        _, prompts, header = model_io.load_model(ws / "m.rcam")
+        assert {p.values.shape for p in prompts} == {(3, 16, 16)}
+        # the container keeps the configuration as given
+        assert header["train_config"]["tvp_size"] == 100
+
     def test_train_determinism_byte_identical(self, synth_video):
         ws = synth_video
         run(*small_train_args(ws, ws / "a.rcam", iters=12, seed=9))
@@ -354,8 +367,11 @@ class TestMalformedInputs:
         (lambda h: h["prompts"][0].pop("chunk_id"), "lacks an int chunk_id"),
         (lambda h: h["prompts"][1].update(chunk_id=5), "'prompt5'"),
         (lambda h: h["prompts"][0].pop("dims"), "prompt 0 dims None"),
+        # a tensor of 2**64 elements, which an int64 product wraps to 0
+        (lambda h: h["manifest"].append({"name": "big", "dims": [2 ** 32] * 2}),
+         "payload truncated"),
     ], ids=["manifest-no-dims", "manifest-no-name", "prompt-no-chunk-id",
-            "prompt-tensor-absent", "prompt-no-dims"])
+            "prompt-tensor-absent", "prompt-no-dims", "manifest-dims-overflow"])
     def test_bad_container_entry_is_one_line_input_error(self, workspace, capsys,
                                                          edit, message):
         path = workspace / "m.rcam"

@@ -1,15 +1,8 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsr.fuse import (
-    fold_cascade,
-    fuse_block,
-    fuse_cascade,
-    fuse_network,
-    fuse_parallel_sum,
-)
+from vidsr.fuse import fold_block, fold_branch, fuse_block, fuse_network
 from vidsr.network import (
     BackboneConfig,
     build_backbone,
@@ -18,10 +11,14 @@ from vidsr.network import (
     param_count,
     sr_forward,
 )
-from vidsr.tensor import ConvKernel, ShapeMismatch, Tensor4, conv2d
+from vidsr.tensor import ConvKernel, Tensor4, conv2d
 
 from oracles import conv2d_oracle
 from test_network import identity1, kern1, kern3, random_mbconv, rnd
+
+
+def pair(k):
+    return k.weight, k.bias
 
 
 def sequential_branch_oracle(x, cascade, conv3):
@@ -39,36 +36,35 @@ def sequential_branch_oracle(x, cascade, conv3):
 class TestFuseCascade:
     def test_empty_cascade_is_exact_copy(self):
         conv3 = kern3(3, 3, 1)
-        fused = fuse_cascade([], conv3)
-        np.testing.assert_array_equal(fused.weight, conv3.weight)
-        np.testing.assert_array_equal(fused.bias, conv3.bias)
+        w, b = fold_branch([], pair(conv3))
+        np.testing.assert_array_equal(w, conv3.weight)
+        np.testing.assert_array_equal(b, conv3.bias)
 
     def test_identity_cascade_is_exact_copy(self):
         conv3 = kern3(4, 4, 2)
-        fused = fuse_cascade([identity1(4)], conv3)
-        np.testing.assert_array_equal(fused.weight, conv3.weight)
-        np.testing.assert_array_equal(fused.bias, conv3.bias)
+        w, b = fold_branch([pair(identity1(4))], pair(conv3))
+        np.testing.assert_array_equal(w, conv3.weight)
+        np.testing.assert_array_equal(b, conv3.bias)
 
     def test_hand_algebra_c1(self):
         one = ConvKernel(np.full((1, 1, 1, 1), 2.0, np.float32),
                          np.ones(1, np.float32))
         conv3 = ConvKernel(np.ones((1, 1, 3, 3), np.float32),
                            np.zeros(1, np.float32))
-        fused = fuse_cascade([one], conv3)
-        np.testing.assert_array_equal(fused.weight,
-                                      np.full((1, 1, 3, 3), 2.0, np.float32))
-        np.testing.assert_array_equal(fused.bias, np.array([9.0], np.float32))
+        w, b = fold_branch([pair(one)], pair(conv3))
+        np.testing.assert_array_equal(w, np.full((1, 1, 3, 3), 2.0))
+        np.testing.assert_array_equal(b, [9.0])
         # behavioural check on random input, against the loop oracle
         x = rnd((1, 1, 5, 5), 3)
         want = sequential_branch_oracle(x, [one], conv3)
-        got = conv2d_oracle(x, fused.weight, fused.bias, padding=1)
+        got = conv2d_oracle(x, w, b, padding=1)
         np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_three_kernel_chain_matches_sequential_forward(self):
         c = 4
         cascade = [kern1(c, 10 + j) for j in range(3)]
         conv3 = kern3(c, c, 20)
-        fused = fuse_cascade(cascade, conv3)
+        fused = ConvKernel(*fold_branch([pair(k) for k in cascade], pair(conv3)))
         x = rnd((2, c, 6, 6), 21)
         want = sequential_branch_oracle(x, cascade, conv3)
         got = conv2d(Tensor4.from_array(x), fused, padding=1).data
@@ -76,37 +72,44 @@ class TestFuseCascade:
         # borders carry the cascade bias effect; make sure they're not trivial
         assert np.abs(want[:, :, 0, :]).max() > 0
 
-    def test_channel_break_rejected(self):
-        bad = ConvKernel(np.zeros((3, 2, 1, 1), np.float32), np.zeros(3, np.float32))
-        with pytest.raises(Exception):
-            fuse_cascade([bad], kern3(4, 4, 30))
-
 
 class TestFuseParallel:
     def test_sum_of_identical_kernels_doubles(self):
         k = kern3(3, 3, 1)
-        fused = fuse_parallel_sum([k, k])
-        np.testing.assert_allclose(fused.weight, 2 * k.weight, atol=1e-7)
-        np.testing.assert_allclose(fused.bias, 2 * k.bias, atol=1e-7)
+        w, b = fold_block([([], pair(k)), ([], pair(k))])
+        np.testing.assert_allclose(w, 2 * k.weight, atol=1e-7)
+        np.testing.assert_allclose(b, 2 * k.bias, atol=1e-7)
 
     def test_sum_with_zero_branch(self):
         k = kern3(3, 3, 2)
-        zero = ConvKernel(np.zeros_like(k.weight), np.zeros_like(k.bias))
-        fused = fuse_parallel_sum([k, zero])
-        np.testing.assert_array_equal(fused.weight, k.weight)
-        np.testing.assert_array_equal(fused.bias, k.bias)
+        zero = (np.zeros_like(k.weight), np.zeros_like(k.bias))
+        w, b = fold_block([([], pair(k)), ([], zero)])
+        np.testing.assert_array_equal(w, k.weight)
+        np.testing.assert_array_equal(b, k.bias)
 
     def test_sum_matches_branch_sum_forward(self):
         ks = [kern3(4, 4, 40 + i) for i in range(3)]
-        fused = fuse_parallel_sum(ks)
+        fused = ConvKernel(*fold_block([([], pair(k)) for k in ks]))
         x = Tensor4.from_array(rnd((1, 4, 7, 7), 44))
         want = sum(conv2d(x, k, 1).data for k in ks)
         got = conv2d(x, fused, 1).data
         np.testing.assert_allclose(got, want, atol=1e-4)
 
-    def test_config_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatch):
-            fuse_parallel_sum([kern3(3, 3, 70), kern3(3, 4, 71)])
+    def test_keeps_the_dtype_of_its_input(self):
+        blocks = [random_mbconv(c, m, seed=90 + 10 * m + c)
+                  for m in (1, 2, 3, 4) for c in (1, 3, 5)]
+        for mb in blocks:
+            branches = [([pair(k) for k in br.cascade], pair(br.main))
+                        for br in mb.branches]
+            w32, b32 = fold_block(branches)
+            w64, b64 = fold_block([([(w.astype(np.float64), b.astype(np.float64))
+                                     for w, b in casc],
+                                    tuple(a.astype(np.float64) for a in main))
+                                   for casc, main in branches])
+            assert (w32.dtype, b32.dtype) == (np.float32, np.float32)
+            assert (w64.dtype, b64.dtype) == (np.float64, np.float64)
+            np.testing.assert_allclose(w64, w32, rtol=0, atol=1e-6)
+            np.testing.assert_allclose(b64, b32, rtol=0, atol=1e-6)
 
 
 class TestFuseBlock:
@@ -183,17 +186,20 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 def test_fold_cascade_matches_sequential_chain(depth, width, seed):
     rng = np.random.default_rng(seed)
     # biases bounded away from zero, so a dropped bias term shows
-    cascade = [ConvKernel(rng.standard_normal((width, width, 1, 1)),
-                          rng.choice([-1.0, 1.0], width)
-                          * rng.uniform(0.1, 1.0, width))
+    cascade = [(rng.standard_normal((width, width, 1, 1)),
+                rng.choice([-1.0, 1.0], width) * rng.uniform(0.1, 1.0, width))
                for _ in range(depth)]
     v = rng.standard_normal((width, 7))
     want = v
-    for k in cascade:
-        want = (np.asarray(k.weight[:, :, 0, 0], np.float64) @ want
-                + np.asarray(k.bias, np.float64)[:, None])
-    w, b = fold_cascade(cascade, width)
-    np.testing.assert_allclose(w @ v + b[:, None], want, rtol=0, atol=1e-10)
+    for w, b in cascade:
+        want = w[:, :, 0, 0] @ want + b[:, None]
+    # a centre-tap identity main conv exposes the cascade's affine map
+    centre = np.zeros((width, width, 3, 3))
+    centre[:, :, 1, 1] = np.eye(width)
+    w, b = fold_branch(cascade, (centre, np.zeros(width)))
+    assert not np.any(w[:, :, [0, 2], :]) and not np.any(w[:, :, :, [0, 2]])
+    np.testing.assert_allclose(w[:, :, 1, 1] @ v + b[:, None], want,
+                               rtol=0, atol=1e-10)
 
 
 @PROPERTY

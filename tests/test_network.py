@@ -7,20 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vidsr import tensor as T
-from vidsr.fuse import fuse_network
+from vidsr.fuse import _block_pairs, fold_block, fuse_network
 from vidsr.network import (
     BackboneConfig,
     Branch,
+    EagerOps,
     MultiBranchConv,
+    SRNet,
     build_backbone,
     mbconv_forward,
     named_params,
+    net_forward,
     net_from_params,
     param_count,
     param_shapes,
     sr_forward,
 )
+from vidsr.prompt import VisualPrompt, apply_prompt
 from vidsr.tensor import ChannelMismatch, ConvKernel, ShapeMismatch, Tensor4
+
+from oracles import srnet_oracle
 
 
 def rnd(shape, seed, scale=0.5):
@@ -113,6 +119,23 @@ class TestMultiBranchForward:
         with pytest.raises(T.ShapeMismatch):
             # branch 0 may not carry a cascade kernel
             MultiBranchConv(c, [Branch((identity1(c),), kern3(c, c, 71))])
+
+    def test_branch_chain_break_rejected(self):
+        # a 2->3 cascade kernel cannot feed a 4-channel 3x3 conv
+        bad = ConvKernel(np.zeros((3, 2, 1, 1), np.float32), np.zeros(3, np.float32))
+        with pytest.raises(ChannelMismatch):
+            Branch([bad], kern3(4, 4, 30))
+
+    def test_branch_width_mismatch_rejected(self):
+        # every kernel of a block maps its channels to its channels
+        with pytest.raises(ChannelMismatch, match="branch 1 has a 4->4"):
+            MultiBranchConv(3, [Branch((), kern3(3, 3, 70)),
+                                Branch((identity1(4),), kern3(3, 4, 71))])
+        # a cascade that reads 4 channels feeding a 3->3 main conv
+        narrowing = ConvKernel(np.ones((3, 4, 1, 1), np.float32), np.zeros(3, np.float32))
+        with pytest.raises(ChannelMismatch, match="branch 1 has a 4->3"):
+            MultiBranchConv(3, [Branch((), kern3(3, 3, 72)),
+                                Branch((narrowing,), kern3(3, 3, 73))])
 
 
 def expected_param_count(config: BackboneConfig) -> int:
@@ -258,3 +281,60 @@ def test_param_shapes_decides_every_name_and_shape(channels, blocks, branches,
             bad[axis] += data.draw(st.sampled_from([-1, 1])) if bad[axis] > 1 else 1
         with pytest.raises(ShapeMismatch, match=f"^{re.escape(name)} has shape"):
             net_from_params(cfg, {**net.params, name: np.zeros(bad, np.float32)})
+
+
+def float64_params(cfg, seed):
+    """A built network's parameters in float64, with every bias drawn
+    nonzero, so that the border ring and each residual carry signal."""
+    rng = np.random.default_rng(seed)
+    return {name: rng.uniform(-0.5, 0.5, a.shape) if a.ndim == 1
+            else a.astype(np.float64)
+            for name, a in build_backbone(cfg, seed).params.items()}
+
+
+def assert_built_and_fused_match(cfg, params, x, want):
+    """The engine's forward of the built network, and of its blocks folded
+    by ``fold_block``, both in float64, against the loop oracle."""
+    built = net_forward(EagerOps, SRNet(cfg, params), params, x)
+    fused = dict(params)
+    for prefix in (f"body{b}.conv{c}" for b in range(cfg.blocks) for c in (0, 1)):
+        fused[f"{prefix}.w"], fused[f"{prefix}.b"] = fold_block(
+            _block_pairs(params, prefix, cfg.branches))
+    one = replace(cfg, branches=1)
+    single = net_forward(EagerOps, SRNet(one, fused), fused, x)
+    assert built.dtype == single.dtype == np.float64
+    assert built.shape == single.shape == want.shape
+    np.testing.assert_allclose(built, want, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(single, want, rtol=0, atol=1e-9)
+
+
+class TestLoopOracle:
+    """The whole network against ``oracles.srnet_oracle`` in float64."""
+
+    @pytest.mark.parametrize("branches, scale, blocks, channels, h, w", [
+        (1, 2, 1, 3, 7, 9),
+        (2, 3, 2, 4, 6, 5),
+        (3, 4, 1, 2, 10, 10),
+        (4, 2, 2, 4, 8, 6),
+        (3, 3, 2, 3, 5, 8),
+    ])
+    def test_forward_matches_oracle(self, branches, scale, blocks, channels, h, w):
+        cfg = BackboneConfig(channels=channels, blocks=blocks,
+                             branches=branches, scale=scale)
+        params = float64_params(cfg, seed=branches * 100 + scale * 10 + blocks)
+        x = np.random.default_rng(h * w).random((1, 3, h, w))
+        assert_built_and_fused_match(cfg, params, x, srnet_oracle(cfg, params, x))
+
+    def test_prompted_frame_matches_oracle(self):
+        # frame and prompt on a 1/256 grid, so the float32 prompt add is
+        # exact and both sides see the same float64 input
+        cfg = BackboneConfig(channels=4, blocks=1, branches=3, scale=2)
+        params = float64_params(cfg, seed=77)
+        rng = np.random.default_rng(78)
+        frame = rng.integers(0, 256, (1, 3, 10, 9)) / 256
+        prompt = VisualPrompt(0, rng.integers(-64, 64, (3, 6, 4)) / 256)
+        x = apply_prompt(Tensor4.from_array(frame), prompt).data.astype(np.float64)
+        want_in = frame.copy()
+        want_in[:, :, 2:8, 2:6] += prompt.values
+        assert_built_and_fused_match(cfg, params, x,
+                                     srnet_oracle(cfg, params, want_in))
