@@ -126,12 +126,11 @@ class Tape:
 
     # -- heavy primitives ----------------------------------------------------
 
-    def conv2d(self, x: Node, w: Node, b: Node, padding: int,
-               pad_values=None, *, relu=False, shuffle=1,
-               residual: Node | None = None) -> Node:
+    def conv2d(self, x: Node, w: Node, b: Node, padding: int, *, relu=False,
+               shuffle=1, residual: Node | None = None) -> Node:
         """Conv with the epilogue of ``_conv2d``; a residual is a parent."""
         k = w.shape[2]
-        y = _conv2d(x.value, w.value, b.value, padding, pad_values, relu=relu,
+        y = _conv2d(x.value, w.value, b.value, padding, relu=relu,
                     shuffle=shuffle,
                     residual=None if residual is None else residual.value)
 
@@ -143,7 +142,7 @@ class Tape:
                 u = _pixel_unshuffle(u, shuffle)
             return out + [
                 (x, _conv2d_grad_input(u, w.value, padding, x.shape)),
-                (w, _conv2d_grad_weight(x.value, u, k, padding, pad_values)),
+                (w, _conv2d_grad_weight(x.value, u, k, padding)),
                 (b, _conv2d_grad_bias(u)),
             ]
 

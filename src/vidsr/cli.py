@@ -95,11 +95,10 @@ def _finite(positive):
 
 
 def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV, "0")
     try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
+        return _int_from(0)(os.environ.get(SEED_ENV, "0"))
+    except argparse.ArgumentTypeError as e:
+        raise UsageError(f"{SEED_ENV} {e}") from None
 
 
 def _sidecar(out_path: Path, name: str) -> Path:
@@ -119,12 +118,16 @@ def _write_manifest(out_path: Path, subcommand: str, config: dict,
                     inputs: dict, outputs: list):
     """config is ``vars(args)`` (plus extras); its ``started`` is the
     perf_counter reading main() took when it began. The thread facts are
-    the BLAS library, the CPU count, the tensor kernels' worker count and
-    the thread count BLAS runs at (null when it cannot be read)."""
+    the BLAS library with its build configuration and the BLAS/OpenMP
+    thread variables (null when unset), the CPU count, the tensor kernels'
+    worker count and the thread count BLAS runs at (null when it cannot be
+    read)."""
     wall = time.perf_counter() - config["started"]
     config = {k: v for k, v in config.items()
               if k not in ("fn", "cmd", "started")}
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    blas = {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
+    blas |= {k: os.environ.get(k) for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     manifest = {
         "subcommand": subcommand,
         "config": config,
@@ -133,7 +136,7 @@ def _write_manifest(out_path: Path, subcommand: str, config: dict,
         "outputs": [str(o) for o in outputs],
         "tool_version": __version__,
         "numpy_version": np.__version__,
-        "blas": {k: blas.get(k) for k in ("name", "version")},
+        "blas": blas,
         "cpu_count": os.cpu_count(),
         "workers": tensor.WORKERS,
         "blas_threads": tensor.blas_threads(),
@@ -203,18 +206,21 @@ def cmd_chunk(args) -> int:
     hr = model_io.read_frames(src)
     video = make_lr(chunk_video(hr, args.chunks), args.scale)
     model_io.write_frames(out / "lr", video.lr)
+    # HR cropped to a multiple of the scale, as the SR frames come out
+    model_io.write_frames(out / "hr", video.hr)
     meta = {
         "chunks": video.num_chunks,
         "scale": video.scale,
         "frames": video.num_frames,
         "boundaries": [list(b) for b in video.boundaries],
-        "hr_dir": str(src),
+        "hr_dir": str(out / "hr"),
         "lr_dims": list(video.lr[0].shape[1:]),
     }
     out.mkdir(parents=True, exist_ok=True)
     (out / "chunks.json").write_text(json.dumps(meta, indent=2) + "\n")
     _write_manifest(out, "chunk", vars(args) | {"out": str(out)},
-                    {"frames": str(src)}, [out / "chunks.json", out / "lr"])
+                    {"frames": str(src)},
+                    [out / "chunks.json", out / "lr", out / "hr"])
     _log(f"chunk: {video.num_frames} frames -> {video.num_chunks} chunks, "
          f"LR {meta['lr_dims'][0]}x{meta['lr_dims'][1]} in {out}")
     return EXIT_OK
@@ -466,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=_int_from(9), default=96)
     sp.add_argument("--shift-y", type=int, default=1)
     sp.add_argument("--shift-x", type=int, default=2)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    sp.add_argument("--seed", type=_int_from(0), default=_default_seed())
     sp.set_defaults(fn=cmd_synth)
 
     cp = sub.add_parser("chunk", help="split into chunks and write LR frames")
@@ -490,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--sampler", choices=("uniform", "loss"), default="loss")
     tp.add_argument("--baseline-per-chunk", action="store_true",
                     help="train independent single-branch models per chunk")
-    tp.add_argument("--seed", type=int, default=_default_seed())
+    tp.add_argument("--seed", type=_int_from(0), default=_default_seed())
     tp.add_argument("--epochs", type=_int_from(1), default=None)
     tp.add_argument("--iters", type=_int_from(1), default=2000)
     tp.add_argument("--batch", type=_int_from(1), default=32)
@@ -509,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--model", required=True)
     vp.add_argument("--tolerance", type=_finite(positive=False), default=1e-4)
     vp.add_argument("--trials", type=_int_from(1), default=20)
-    vp.add_argument("--seed", type=int, default=_default_seed())
+    vp.add_argument("--seed", type=_int_from(0), default=_default_seed())
     vp.set_defaults(fn=cmd_verify_fuse)
 
     ip = sub.add_parser("infer", help="super-resolve delivered LR chunks")

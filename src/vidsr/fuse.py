@@ -12,8 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .network import MultiBranchConv, SRNet, _block_stems, block_params, net_from_params
-from .tensor import ConvKernel
+from .network import SRNet, _block_stems, net_from_params
 
 
 def fold_branch(cascade, main):
@@ -61,12 +60,6 @@ def _block_pairs(params, prefix, branches):
 
     return [([pair(s) for s in casc], pair(main))
             for casc, main in _block_stems(prefix, branches)]
-
-
-def fuse_block(conv: MultiBranchConv) -> ConvKernel:
-    """Collapse one multi-branch block into a single 3x3 convolution."""
-    return ConvKernel(*fold_block(
-        _block_pairs(block_params(conv), "block", conv.num_branches)))
 
 
 def fuse_network(net: SRNet) -> SRNet:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .tensor import (
     ChannelMismatch,
-    ConvKernel,
     ShapeMismatch,
     Tensor4,
     _as_f32,
@@ -30,54 +29,6 @@ from .tensor import (
     _conv2d,
     _pad_const,
 )
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One branch: a (possibly empty) 1x1 cascade, then a 3x3 conv."""
-
-    cascade: tuple
-    main: ConvKernel
-
-    def __post_init__(self):
-        object.__setattr__(self, "cascade", tuple(self.cascade))
-        for k in self.cascade:
-            if k.size != 1:
-                raise ShapeMismatch("cascade kernels must be 1x1")
-        if self.main.size != 3:
-            raise ShapeMismatch("branch main kernel must be 3x3")
-        chain = list(self.cascade) + [self.main]
-        for a, b in zip(chain, chain[1:]):
-            if a.out_channels != b.in_channels:
-                raise ChannelMismatch(
-                    f"branch chain breaks: {a.out_channels} -> {b.in_channels}")
-
-
-@dataclass(frozen=True)
-class MultiBranchConv:
-    """M parallel branches over shared input; branch i carries i 1x1 convs."""
-
-    channels: int
-    branches: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
-        if not self.branches:
-            raise ValueError("need at least one branch")
-        for i, br in enumerate(self.branches):
-            if len(br.cascade) != i:
-                raise ShapeMismatch(
-                    f"branch {i} must carry exactly {i} cascade kernels, "
-                    f"has {len(br.cascade)}")
-            for k in (*br.cascade, br.main):
-                if (k.in_channels, k.out_channels) != (self.channels,) * 2:
-                    raise ChannelMismatch(
-                        f"branch {i} has a {k.in_channels}->{k.out_channels} "
-                        f"kernel in a block of {self.channels} channels")
-
-    @property
-    def num_branches(self) -> int:
-        return len(self.branches)
 
 
 @dataclass(frozen=True)
@@ -180,8 +131,8 @@ class EagerOps:
     """Array-level mirror of the Tape op surface (no gradients)."""
 
     @staticmethod
-    def conv2d(x, w, b, padding, pad_values=None, **epilogue):
-        return _conv2d(x, w, b, padding, pad_values, **epilogue)
+    def conv2d(x, w, b, padding, **epilogue):
+        return _conv2d(x, w, b, padding, **epilogue)
 
     @staticmethod
     def pad_const(x, p):
@@ -264,26 +215,6 @@ def net_forward(ops, net: SRNet, params, x):
         skip = ops.bicubic_resize(x, h * scale, w * scale)
     return ops.conv2d(u, params["tail.w"], params["tail.b"], 1,
                       shuffle=scale, residual=skip)
-
-
-def block_params(conv: MultiBranchConv) -> dict:
-    """The block's kernels as a name->array dict, under the names that
-    ``_block_stems`` gives a block of prefix ``block``."""
-    params = {}
-    for (casc, main), br in zip(_block_stems("block", conv.num_branches),
-                                conv.branches):
-        for stem, k in zip((*casc, main), (*br.cascade, br.main)):
-            params |= {f"{stem}.w": k.weight, f"{stem}.b": k.bias}
-    return params
-
-
-def mbconv_forward(conv: MultiBranchConv, x: Tensor4) -> Tensor4:
-    """Standalone eager forward of one body block."""
-    if x.dims[1] != conv.channels:
-        raise ChannelMismatch(
-            f"input has {x.dims[1]} channels, block expects {conv.channels}")
-    return Tensor4(mbconv_apply(EagerOps, conv.num_branches, x.data,
-                                block_params(conv), "block"))
 
 
 def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:

@@ -75,47 +75,6 @@ class Tensor4:
         return np.array(self.data)
 
 
-@dataclass(frozen=True)
-class ConvKernel:
-    """Convolution weights (out, in, K, K) plus a per-output-channel bias.
-
-    K is odd and restricted to 1 or 3; the bias is always present (zeros
-    are fine).
-    """
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    def __post_init__(self):
-        w = _as_f32(self.weight)
-        b = _as_f32(self.bias)
-        if w.ndim != 4 or w.shape[2] != w.shape[3]:
-            raise ShapeMismatch(f"kernel weight must be (out,in,K,K), got {w.shape}")
-        k = w.shape[2]
-        if k % 2 == 0:
-            raise ShapeMismatch(f"even kernel size {k} not supported")
-        if k not in (1, 3):
-            raise ShapeMismatch(f"kernel size {k} not supported (use 1 or 3)")
-        if b.shape != (w.shape[0],):
-            raise ShapeMismatch(f"bias shape {b.shape} != ({w.shape[0]},)")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.weight.shape[2]
-
-
 # ---------------------------------------------------------------------------
 # raw kernels (dtype-preserving, ndarray in / ndarray out)
 # ---------------------------------------------------------------------------
@@ -188,9 +147,9 @@ def _image_groups(bb, hp, ho, wp, k):
                               _conv_tiles(bb, hp, ho, wp, k)))
 
 
-def _fill_stack(x, b0, nb, r0, nr, k, padding, fill, out):
-    """Write padded rows [r0, r0+nr) of images [b0, b0+nb), flattened, and
-    their horizontal shifts by 1..K-1 into the K row blocks of out
+def _fill_stack(x, b0, nb, r0, nr, k, padding, out):
+    """Write zero-padded rows [r0, r0+nr) of images [b0, b0+nb), flattened,
+    and their horizontal shifts by 1..K-1 into the K row blocks of out
     (K*C, width); columns past the data are zero."""
     c, w = x.shape[1], x.shape[3]
     p = padding
@@ -200,10 +159,10 @@ def _fill_stack(x, b0, nb, r0, nr, k, padding, fill, out):
     lo = max(r0, p) - r0                      # tile rows holding image rows
     hi = min(r0 + nr, p + x.shape[2]) - r0
     if p:
-        g[:, :, :lo] = fill
-        g[:, :, hi:] = fill
-        g[:, :, lo:hi, :p] = fill
-        g[:, :, lo:hi, p + w:] = fill
+        g[:, :, :lo] = 0
+        g[:, :, hi:] = 0
+        g[:, :, lo:hi, :p] = 0
+        g[:, :, lo:hi, p + w:] = 0
     g[:, :, lo:hi, p:p + w] = \
         x[b0:b0 + nb, :, r0 + lo - p:r0 + hi - p].transpose(1, 0, 2, 3)
     out[:c, m:] = 0
@@ -339,12 +298,7 @@ def _parallel(fn, items, parts=None):
     return out
 
 
-def _pad_fill(pad_values, dt):
-    return 0 if pad_values is None else \
-        np.asarray(pad_values, dt)[:, None, None, None]
-
-
-def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
+def _correlate(x, w, padding, bias=None, *, relu=False,
                shuffle=1, residual=None):
     """Stride-1 NCHW cross-correlation by one stacked GEMM per tile, with
     the epilogue relu(conv + bias), pixel shuffle by ``shuffle``, then
@@ -374,7 +328,6 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
         return y.reshape(bb, o, ho, wo)
     # (K*O, K*I): rows ordered (u, o), columns (v, i) like the stack
     rows = np.ascontiguousarray(wv.transpose(2, 0, 3, 1)).reshape(k * o, k * i)
-    fill = _pad_fill(pad_values, dt)
     # y and the residual are written and read per tile through their
     # (B, O/r^2, r, r, Ho, Wo) pre-shuffle views, r = shuffle
     grid = (o // shuffle ** 2, shuffle, shuffle)
@@ -390,7 +343,7 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
         b0, nb, r0, r, ps, nr = t
         n = nb * ps * wp + halo
         m = n - halo
-        st = _fill_stack(x, b0, nb, r0, nr, k, padding, fill,
+        st = _fill_stack(x, b0, nb, r0, nr, k, padding,
                          _workspace("stack", k * c * n, dt).reshape(k * c, n))
         s = _workspace("slab", k * o * n, dt).reshape(k * o, n)
         np.matmul(rows, st, out=s)
@@ -413,17 +366,17 @@ def _correlate(x, w, padding, pad_values=None, bias=None, *, relu=False,
     return y
 
 
-def _conv2d(x, w, b, padding, pad_values=None, **epilogue):
-    """Stride-1 cross-correlation plus per-output-channel bias, then the
-    epilogue of ``_correlate`` (relu, shuffle, residual)."""
-    return _correlate(x, w, padding, pad_values, b, **epilogue)
+def _conv2d(x, w, b, padding, **epilogue):
+    """Stride-1 cross-correlation at zero padding plus per-output-channel
+    bias, then the epilogue of ``_correlate`` (relu, shuffle, residual)."""
+    return _correlate(x, w, padding, b, **epilogue)
 
 
 def _conv2d_grad_bias(gy):
     return gy.sum(axis=(0, 2, 3))
 
 
-def _conv2d_grad_weight(x, gy, k, padding, pad_values=None):
+def _conv2d_grad_weight(x, gy, k, padding):
     """Weight gradient: per image group, per-tap-row GEMMs of the input
     shifts against gy; the groups' partial sums are added in group order."""
     bb, c, h, ww = x.shape
@@ -441,7 +394,7 @@ def _conv2d_grad_weight(x, gy, k, padding, pad_values=None):
         return per_image.sum(axis=0).reshape(o, c, 1, 1)
     p = padding
     hp, wp = h + 2 * p, ww + 2 * p
-    xv, fill = np.asarray(x, dt), _pad_fill(pad_values, dt)
+    xv = np.asarray(x, dt)
     groups = _image_groups(bb, hp, ho, wp, k)
     parts = np.empty((len(groups), k, k * c, o), dt)
 
@@ -449,7 +402,7 @@ def _conv2d_grad_weight(x, gy, k, padding, pad_values=None):
         b0, nb = groups[j]
         n = nb * hp * wp
         span = n - (k - 1) * (wp + 1)
-        sh = _fill_stack(xv, b0, nb, 0, hp, k, p, fill,
+        sh = _fill_stack(xv, b0, nb, 0, hp, k, p,
                          _workspace("stack", k * c * n, dt).reshape(k * c, n))
         # gy zero-embedded in the padded grid as the (n, O) GEMM operand;
         # a contiguous (n, O) runs faster here than the transposed (O, n).
@@ -610,28 +563,6 @@ def _clamp01(x):
 # ---------------------------------------------------------------------------
 # public operations on Tensor4
 # ---------------------------------------------------------------------------
-
-def conv2d(x: Tensor4, kernel: ConvKernel, padding: int,
-           pad_value_per_channel=None) -> Tensor4:
-    """Stride-1 convolution with zero or per-channel constant padding.
-
-    padding must be 0 or (K-1)/2; absent pad values mean zero padding.
-    """
-    b, c, h, w = x.dims
-    if c != kernel.in_channels:
-        raise ChannelMismatch(
-            f"input has {c} channels, kernel expects {kernel.in_channels}")
-    k = kernel.size
-    if padding not in (0, (k - 1) // 2):
-        raise ShapeMismatch(f"padding {padding} invalid for K={k}")
-    pv = None
-    if pad_value_per_channel is not None:
-        pv = np.asarray(pad_value_per_channel, np.float32)
-        if pv.shape != (c,):
-            raise ShapeMismatch(f"pad values must have shape ({c},), got {pv.shape}")
-    y = _conv2d(x.data, kernel.weight, kernel.bias, padding, pv)
-    return Tensor4(y)
-
 
 def bicubic_resize(x: Tensor4, scale) -> Tensor4:
     """Cubic resampling (a=-0.5, half-pixel centers, clamped borders)."""

@@ -9,8 +9,8 @@ import math
 import numpy as np
 
 
-def conv2d_oracle(x, w, b, padding, pad_values=None):
-    """Six-nested-loop stride-1 cross-correlation in float64."""
+def conv2d_oracle(x, w, b, padding):
+    """Six-nested-loop stride-1 cross-correlation in float64, zero-padded."""
     bb, ci, h, wd = x.shape
     o, _, k, _ = w.shape
     ho = h - k + 1 + 2 * padding
@@ -27,12 +27,7 @@ def conv2d_oracle(x, w, b, padding, pad_values=None):
                                 yy = oy + u - padding
                                 xx = ox + v - padding
                                 if 0 <= yy < h and 0 <= xx < wd:
-                                    val = float(x[n, ic, yy, xx])
-                                elif pad_values is not None:
-                                    val = float(pad_values[ic])
-                                else:
-                                    val = 0.0
-                                acc += float(w[oc, ic, u, v]) * val
+                                    acc += float(w[oc, ic, u, v]) * float(x[n, ic, yy, xx])
                     out[n, oc, oy, ox] = acc
     return out
 

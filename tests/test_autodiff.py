@@ -42,7 +42,7 @@ class TestBackwardBasics:
         x = t.leaf(rnd((2, 3, 5, 6), 30))
         w3, b3 = t.leaf(rnd((4, 3, 3, 3), 31)), t.leaf(rnd((4,), 32))
         w1, b1 = t.leaf(rnd((2, 4, 1, 1), 33)), t.leaf(rnd((2,), 34))
-        y = t.conv2d(t.conv2d(x, w3, b3, 1, rnd((3,), 35)), w1, b1, 0)
+        y = t.conv2d(t.conv2d(x, w3, b3, 1), w1, b1, 0)
         loss = t.sum_all(t.square(y))
         calls = []
         real = tensor._conv2d
@@ -125,12 +125,14 @@ class TestPrimitiveGradients:
         assert finite_diff_check(fb, rnd((3,), 17)) <= 1e-3
 
     def test_conv2d_constant_padding(self):
+        # a block's border: the zero ring of pad_const, then the conv
+        # unpadded
         w = rnd((2, 2, 3, 3), 18)
         b = rnd((2,), 19)
-        pv = np.array([0.3, -0.2], np.float32)
 
         def f(t, x):
-            return t.sum_all(t.square(t.conv2d(x, t.leaf(w), t.leaf(b), 1, pv)))
+            return t.sum_all(t.square(t.conv2d(t.pad_const(x, 1), t.leaf(w),
+                                               t.leaf(b), 0)))
 
         assert finite_diff_check(f, rnd((1, 2, 4, 4), 20)) <= 1e-3
 

@@ -70,6 +70,26 @@ class TestPipelineSmoke:
         assert all("psnr" in r and "ssim" in r and "consistency" in r
                    for r in records)
 
+    def test_walkthrough_on_frames_off_the_scale(self, workspace):
+        # 17x23 at x3: chunk writes the HR frames cropped to 15x21, which
+        # is what infer's SR frames measure
+        ws = workspace
+        assert run("synth", "--out", ws / "hr", "--frames", 4,
+                   "--height", 17, "--width", 23, "--seed", 3) == EXIT_OK
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 2, "--scale", 3) == EXIT_OK
+        meta = json.loads((ws / "chunked" / "chunks.json").read_text())
+        assert meta["hr_dir"] == str(ws / "chunked" / "hr")
+        assert run("train", "--frames", ws / "hr", "--out", ws / "m.rcam",
+                   "--scale", 3, "--chunks", 2, "--channels", 4,
+                   "--blocks", 1, "--iters", 2, "--batch", 2, "--patch", 12,
+                   "--tvp-size", 4, "--seed", 0) == EXIT_OK
+        assert run("infer", "--model", ws / "m.rcam", "--chunked",
+                   ws / "chunked", "--out", ws / "sr") == EXIT_OK
+        assert run("eval", "--sr", ws / "sr", "--hr", ws / "chunked" / "hr",
+                   "--lr", ws / "chunked" / "lr", "--scale", 3) == EXIT_OK
+        assert model_io.read_frames(ws / "chunked" / "hr")[0].shape == (3, 15, 21)
+
     def test_fused_and_unfused_inference_match(self, synth_video, capsys):
         ws = synth_video
         run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
@@ -201,11 +221,18 @@ class TestManifests:
             assert manifest["numpy_version"] == np.__version__
             assert 0 < manifest["wall_seconds"] < 600
 
-    def test_manifest_records_blas_and_threads(self, synth_video):
+    def test_manifest_records_blas_and_threads(self, synth_video, monkeypatch):
         ws = synth_video
-        manifest = json.loads((ws / "hr" / "manifest.json").read_text())
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert run("synth", "--out", ws / "s", "--frames", 1,
+                   "--height", 9, "--width", 9) == EXIT_OK
+        manifest = json.loads((ws / "s" / "manifest.json").read_text())
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["blas"] == {
+            "name": blas["name"], "version": blas["version"],
+            "openblas configuration": blas.get("openblas configuration"),
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3"}
         assert manifest["cpu_count"] == os.cpu_count()
         assert manifest["workers"] == tensor.WORKERS >= 1
         assert manifest["blas_threads"] == tensor.blas_threads()
@@ -289,6 +316,14 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert "VIDSR_SEED" in err
+
+    def test_negative_env_seed_is_one_line_usage_error(self, workspace,
+                                                       monkeypatch, capsys):
+        monkeypatch.setenv("VIDSR_SEED", "-1")
+        assert run("synth", "--out", workspace / "d") == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.strip() == "usage error: VIDSR_SEED must be an int >= 0, got '-1'"
+        assert not (workspace / "d").exists()
 
 
 class TestMalformedInputs:
@@ -535,12 +570,17 @@ class TestMalformedInputs:
          "--channels: must be an int >= 1, got '0'"),
         (["train", "--blocks", 0], "--blocks: must be an int >= 1, got '0'"),
         (["chunk", "--chunks", 0], "--chunks: must be an int >= 1, got '0'"),
+        # these exited 2 with numpy's message on the seed
+        (["synth", "--seed", -3], "--seed: must be an int >= 0, got '-3'"),
+        (["train", "--seed", -1], "--seed: must be an int >= 0, got '-1'"),
+        (["verify-fuse", "--seed", -2], "--seed: must be an int >= 0, got '-2'"),
     ], ids=["synth-frames-0", "synth-height-8", "synth-width-8",
             "tolerance-nan", "tolerance-negative", "trials-0", "lr-nan",
             "lr-inf", "lr-0", "batch-0", "batch-negative", "patch-0",
             "tvp-size-negative", "iters-negative", "epochs-negative",
             "train-chunks-0", "branches-0", "channels-0", "blocks-0",
-            "chunk-chunks-0"])
+            "chunk-chunks-0", "synth-seed-negative", "train-seed-negative",
+            "verify-fuse-seed-negative"])
     def test_argument_out_of_range_is_one_line_usage_error(self, workspace,
                                                            capsys, argv,
                                                            message):

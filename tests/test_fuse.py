@@ -2,56 +2,59 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsr.fuse import fold_block, fold_branch, fuse_block, fuse_network
+from vidsr.fuse import fold_block, fold_branch, fuse_network
 from vidsr.network import (
     BackboneConfig,
     build_backbone,
-    mbconv_forward,
     named_params,
     param_count,
     sr_forward,
 )
-from vidsr.tensor import ConvKernel, Tensor4, conv2d
+from vidsr.tensor import Tensor4, _conv2d
 
 from oracles import conv2d_oracle
-from test_network import identity1, kern1, kern3, random_mbconv, rnd
-
-
-def pair(k):
-    return k.weight, k.bias
+from test_network import (
+    block_forward,
+    folded_block_forward,
+    identity1,
+    kern1,
+    kern3,
+    random_block,
+    random_branches,
+    rnd,
+)
 
 
 def sequential_branch_oracle(x, cascade, conv3):
     """Branch forward straight from the border convention, all loops:
-    zero-pad by one, run the 1x1 chain, then the 3x3 conv unpadded."""
+    zero-pad by one, run the 1x1 chain of (w, b) pairs, then the 3x3
+    pair unpadded."""
     b, c, h, w = x.shape
     padded = np.zeros((b, c, h + 2, w + 2), np.float64)
     padded[:, :, 1:-1, 1:-1] = x
     z = padded
     for k in cascade:
-        z = conv2d_oracle(z, k.weight, k.bias, padding=0)
-    return conv2d_oracle(z, conv3.weight, conv3.bias, padding=0)
+        z = conv2d_oracle(z, *k, padding=0)
+    return conv2d_oracle(z, *conv3, padding=0)
 
 
 class TestFuseCascade:
     def test_empty_cascade_is_exact_copy(self):
         conv3 = kern3(3, 3, 1)
-        w, b = fold_branch([], pair(conv3))
-        np.testing.assert_array_equal(w, conv3.weight)
-        np.testing.assert_array_equal(b, conv3.bias)
+        w, b = fold_branch([], conv3)
+        np.testing.assert_array_equal(w, conv3[0])
+        np.testing.assert_array_equal(b, conv3[1])
 
     def test_identity_cascade_is_exact_copy(self):
         conv3 = kern3(4, 4, 2)
-        w, b = fold_branch([pair(identity1(4))], pair(conv3))
-        np.testing.assert_array_equal(w, conv3.weight)
-        np.testing.assert_array_equal(b, conv3.bias)
+        w, b = fold_branch([identity1(4)], conv3)
+        np.testing.assert_array_equal(w, conv3[0])
+        np.testing.assert_array_equal(b, conv3[1])
 
     def test_hand_algebra_c1(self):
-        one = ConvKernel(np.full((1, 1, 1, 1), 2.0, np.float32),
-                         np.ones(1, np.float32))
-        conv3 = ConvKernel(np.ones((1, 1, 3, 3), np.float32),
-                           np.zeros(1, np.float32))
-        w, b = fold_branch([pair(one)], pair(conv3))
+        one = (np.full((1, 1, 1, 1), 2.0, np.float32), np.ones(1, np.float32))
+        conv3 = (np.ones((1, 1, 3, 3), np.float32), np.zeros(1, np.float32))
+        w, b = fold_branch([one], conv3)
         np.testing.assert_array_equal(w, np.full((1, 1, 3, 3), 2.0))
         np.testing.assert_array_equal(b, [9.0])
         # behavioural check on random input, against the loop oracle
@@ -64,10 +67,10 @@ class TestFuseCascade:
         c = 4
         cascade = [kern1(c, 10 + j) for j in range(3)]
         conv3 = kern3(c, c, 20)
-        fused = ConvKernel(*fold_branch([pair(k) for k in cascade], pair(conv3)))
+        w, b = (a.astype(np.float32) for a in fold_branch(cascade, conv3))
         x = rnd((2, c, 6, 6), 21)
         want = sequential_branch_oracle(x, cascade, conv3)
-        got = conv2d(Tensor4.from_array(x), fused, padding=1).data
+        got = _conv2d(x, w, b, 1)
         np.testing.assert_allclose(got, want, atol=1e-4)
         # borders carry the cascade bias effect; make sure they're not trivial
         assert np.abs(want[:, :, 0, :]).max() > 0
@@ -76,31 +79,29 @@ class TestFuseCascade:
 class TestFuseParallel:
     def test_sum_of_identical_kernels_doubles(self):
         k = kern3(3, 3, 1)
-        w, b = fold_block([([], pair(k)), ([], pair(k))])
-        np.testing.assert_allclose(w, 2 * k.weight, atol=1e-7)
-        np.testing.assert_allclose(b, 2 * k.bias, atol=1e-7)
+        w, b = fold_block([([], k), ([], k)])
+        np.testing.assert_allclose(w, 2 * k[0], atol=1e-7)
+        np.testing.assert_allclose(b, 2 * k[1], atol=1e-7)
 
     def test_sum_with_zero_branch(self):
         k = kern3(3, 3, 2)
-        zero = (np.zeros_like(k.weight), np.zeros_like(k.bias))
-        w, b = fold_block([([], pair(k)), ([], zero)])
-        np.testing.assert_array_equal(w, k.weight)
-        np.testing.assert_array_equal(b, k.bias)
+        zero = (np.zeros_like(k[0]), np.zeros_like(k[1]))
+        w, b = fold_block([([], k), ([], zero)])
+        np.testing.assert_array_equal(w, k[0])
+        np.testing.assert_array_equal(b, k[1])
 
     def test_sum_matches_branch_sum_forward(self):
         ks = [kern3(4, 4, 40 + i) for i in range(3)]
-        fused = ConvKernel(*fold_block([([], pair(k)) for k in ks]))
-        x = Tensor4.from_array(rnd((1, 4, 7, 7), 44))
-        want = sum(conv2d(x, k, 1).data for k in ks)
-        got = conv2d(x, fused, 1).data
+        w, b = fold_block([([], k) for k in ks])
+        x = rnd((1, 4, 7, 7), 44)
+        want = sum(_conv2d(x, *k, 1) for k in ks)
+        got = _conv2d(x, w, b, 1)
         np.testing.assert_allclose(got, want, atol=1e-4)
 
     def test_keeps_the_dtype_of_its_input(self):
-        blocks = [random_mbconv(c, m, seed=90 + 10 * m + c)
+        blocks = [random_branches(c, m, seed=90 + 10 * m + c)
                   for m in (1, 2, 3, 4) for c in (1, 3, 5)]
-        for mb in blocks:
-            branches = [([pair(k) for k in br.cascade], pair(br.main))
-                        for br in mb.branches]
+        for branches in blocks:
             w32, b32 = fold_block(branches)
             w64, b64 = fold_block([([(w.astype(np.float64), b.astype(np.float64))
                                      for w, b in casc],
@@ -120,14 +121,12 @@ class TestFuseBlock:
         for case in range(100):
             c = int(rng.integers(1, 9))
             m = int(rng.integers(1, 5))
-            mb = random_mbconv(c, m, seed=3000 + case)
-            fused = fuse_block(mb)
+            p = random_block(c, m, seed=3000 + case)
             h = int(rng.integers(3, 17))
             w = int(rng.integers(3, 17))
-            x = Tensor4.from_array(
-                (rng.random((1, c, h, w)) - 0.5).astype(np.float32))
-            multi = mbconv_forward(mb, x).data
-            single = conv2d(x, fused, padding=1).data
+            x = (rng.random((1, c, h, w)) - 0.5).astype(np.float32)
+            multi = block_forward(m, x, p)
+            single = folded_block_forward(m, x, p)
             gap = np.abs(multi - single).max()
             assert gap <= 1e-4, f"case {case}: gap {gap}"
 
@@ -206,9 +205,9 @@ def test_fold_cascade_matches_sequential_chain(depth, width, seed):
 @given(m=st.integers(1, 4), c=st.integers(1, 5), h=st.integers(1, 9),
        w=st.integers(1, 9), seed=st.integers(0, 10 ** 6))
 def test_fuse_block_matches_multibranch_forward(m, c, h, w, seed):
-    mb = random_mbconv(c, m, seed)
-    x = Tensor4.from_array(rnd((2, c, h, w), seed + 7))
-    multi = mbconv_forward(mb, x).data
-    single = conv2d(x, fuse_block(mb), padding=1).data
+    p = random_block(c, m, seed)
+    x = rnd((2, c, h, w), seed + 7)
+    multi = block_forward(m, x, p)
+    single = folded_block_forward(m, x, p)
     # the whole output, so the one-pixel border ring is compared too
     assert np.abs(multi - single).max() <= 1e-4

@@ -10,12 +10,11 @@ from vidsr import tensor as T
 from vidsr.fuse import _block_pairs, fold_block, fuse_network
 from vidsr.network import (
     BackboneConfig,
-    Branch,
     EagerOps,
-    MultiBranchConv,
     SRNet,
+    _block_stems,
     build_backbone,
-    mbconv_forward,
+    mbconv_apply,
     named_params,
     net_forward,
     net_from_params,
@@ -24,7 +23,7 @@ from vidsr.network import (
     sr_forward,
 )
 from vidsr.prompt import VisualPrompt, apply_prompt
-from vidsr.tensor import ChannelMismatch, ConvKernel, ShapeMismatch, Tensor4
+from vidsr.tensor import ChannelMismatch, ShapeMismatch, Tensor4
 
 from oracles import srnet_oracle
 
@@ -35,107 +34,135 @@ def rnd(shape, seed, scale=0.5):
 
 
 def kern3(c_out, c_in, seed, bias=True):
-    return ConvKernel(rnd((c_out, c_in, 3, 3), seed),
-                      rnd((c_out,), seed + 1000) if bias else np.zeros(c_out, np.float32))
+    """A 3x3 (weight, bias) pair."""
+    return (rnd((c_out, c_in, 3, 3), seed),
+            rnd((c_out,), seed + 1000) if bias else np.zeros(c_out, np.float32))
 
 
 def kern1(c, seed, bias=True):
-    return ConvKernel(rnd((c, c, 1, 1), seed),
-                      rnd((c,), seed + 1000) if bias else np.zeros(c, np.float32))
+    """A C->C 1x1 (weight, bias) pair."""
+    return (rnd((c, c, 1, 1), seed),
+            rnd((c,), seed + 1000) if bias else np.zeros(c, np.float32))
 
 
 def identity1(c):
-    return ConvKernel(np.eye(c, dtype=np.float32).reshape(c, c, 1, 1),
-                      np.zeros(c, np.float32))
+    return np.eye(c, dtype=np.float32).reshape(c, c, 1, 1), np.zeros(c, np.float32)
 
 
-def random_mbconv(c, m, seed):
-    branches = []
-    for i in range(m):
-        cascade = [kern1(c, seed + 10 * i + j) for j in range(i)]
-        branches.append(Branch(cascade, kern3(c, c, seed + 100 + i)))
-    return MultiBranchConv(c, branches)
+def block_dict(branches):
+    """A block's branches, each a (cascade pairs, main pair), as the
+    name->array dict of a block of prefix "block"."""
+    params = {}
+    for (stems, main), (cascade, pair) in zip(_block_stems("block", len(branches)),
+                                              branches):
+        for stem, (w, b) in zip((*stems, main), (*cascade, pair)):
+            params |= {f"{stem}.w": w, f"{stem}.b": b}
+    return params
+
+
+def random_branches(c, m, seed):
+    return [([kern1(c, seed + 10 * i + j) for j in range(i)], kern3(c, c, seed + 100 + i))
+            for i in range(m)]
+
+
+def random_block(c, m, seed):
+    return block_dict(random_branches(c, m, seed))
+
+
+def block_forward(m, x, params):
+    """Eager forward of the block of m branches in ``params``."""
+    return mbconv_apply(EagerOps, m, x, params, "block")
+
+
+def folded_block_forward(m, x, params):
+    """The same block folded by ``fold_block`` and run as one 3x3 conv."""
+    w, b = fold_block(_block_pairs(params, "block", m))
+    return block_forward(1, x, {"block.w": w, "block.b": b})
 
 
 class TestMultiBranchForward:
     def test_single_bare_branch_equals_plain_conv(self):
         c = 4
         k = kern3(c, c, 1)
-        mb = MultiBranchConv(c, [Branch((), k)])
-        x = Tensor4.from_array(rnd((1, c, 6, 6), 2))
-        got = mbconv_forward(mb, x)
-        want = T.conv2d(x, k, padding=1)
-        np.testing.assert_array_equal(got.data, want.data)
+        x = rnd((1, c, 6, 6), 2)
+        got = block_forward(1, x, block_dict([([], k)]))
+        np.testing.assert_array_equal(got, T._conv2d(x, *k, 1))
 
     def test_identity_cascade_gives_sum_of_plain_convs(self):
         c = 3
         f0 = kern3(c, c, 3)
         f1 = kern3(c, c, 4)
-        mb = MultiBranchConv(c, [Branch((), f0), Branch((identity1(c),), f1)])
-        x = Tensor4.from_array(rnd((2, c, 5, 7), 5))
-        got = mbconv_forward(mb, x)
-        want = T.conv2d(x, f0, 1).data + T.conv2d(x, f1, 1).data
-        np.testing.assert_allclose(got.data, want, atol=1e-5)
+        x = rnd((2, c, 5, 7), 5)
+        got = block_forward(2, x, block_dict([([], f0), ([identity1(c)], f1)]))
+        want = T._conv2d(x, *f0, 1) + T._conv2d(x, *f1, 1)
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_output_dims_equal_input_dims(self):
         for c, m, h, w in ((1, 1, 3, 3), (4, 3, 8, 5), (2, 4, 6, 6)):
-            mb = random_mbconv(c, m, seed=c * 10 + m)
-            x = Tensor4.from_array(rnd((1, c, h, w), 6))
-            assert mbconv_forward(mb, x).dims == x.dims
+            x = rnd((1, c, h, w), 6)
+            assert block_forward(m, x, random_block(c, m, seed=c * 10 + m)).shape \
+                == x.shape
 
     def test_branch_linearity_zero_bias(self):
         c = 4
-        branches = []
-        for i in range(3):
-            cascade = [kern1(c, 40 + 10 * i + j, bias=False) for j in range(i)]
-            branches.append(Branch(cascade, kern3(c, c, 50 + i, bias=False)))
-        mb = MultiBranchConv(c, branches)
+        p = block_dict([([kern1(c, 40 + 10 * i + j, bias=False) for j in range(i)],
+                         kern3(c, c, 50 + i, bias=False)) for i in range(3)])
         x = rnd((1, c, 6, 6), 8)
         y = rnd((1, c, 6, 6), 9)
         a, b = 0.6, -1.1
-        lhs = mbconv_forward(mb, Tensor4.from_array(a * x + b * y)).data
-        rhs = (a * mbconv_forward(mb, Tensor4.from_array(x)).data
-               + b * mbconv_forward(mb, Tensor4.from_array(y)).data)
+        lhs = block_forward(3, (a * x + b * y).astype(np.float32), p)
+        rhs = a * block_forward(3, x, p) + b * block_forward(3, y, p)
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_zero_branch_is_no_op(self):
         c = 3
-        mb = random_mbconv(c, 2, seed=60)
-        zero_main = ConvKernel(np.zeros((c, c, 3, 3), np.float32),
-                               np.zeros(c, np.float32))
-        extra = Branch([kern1(c, 61), kern1(c, 62)], zero_main)
-        grown = MultiBranchConv(c, list(mb.branches) + [extra])
-        x = Tensor4.from_array(rnd((1, c, 5, 5), 63))
-        np.testing.assert_allclose(mbconv_forward(grown, x).data,
-                                   mbconv_forward(mb, x).data, atol=1e-6)
+        branches = random_branches(c, 2, seed=60)
+        zero_main = (np.zeros((c, c, 3, 3), np.float32), np.zeros(c, np.float32))
+        extra = ([kern1(c, 61), kern1(c, 62)], zero_main)
+        x = rnd((1, c, 5, 5), 63)
+        np.testing.assert_allclose(block_forward(3, x, block_dict(branches + [extra])),
+                                   block_forward(2, x, block_dict(branches)),
+                                   atol=1e-6)
 
     def test_channel_mismatch_rejected(self):
-        mb = random_mbconv(4, 2, seed=70)
+        # the forward checks channels once, at the network's input
+        net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=2),
+                             seed=70)
         with pytest.raises(ChannelMismatch):
-            mbconv_forward(mb, Tensor4.zeros(1, 3, 4, 4))
+            sr_forward(net, Tensor4.zeros(1, 4, 4, 4))
+
+    # A block's structure and widths are its names and shapes in
+    # param_shapes: net_from_params refuses a block tensor that breaks
+    # them, by name (every name: test_param_shapes_decides_every_name_and_shape).
+
+    @staticmethod
+    def refused(channels, name, value):
+        cfg = BackboneConfig(channels=channels, blocks=1, branches=2)
+        values = dict(build_backbone(cfg, seed=70).params)
+        if value is None:
+            del values[name]
+        else:
+            values[name] = value
+        error = KeyError if value is None else ShapeMismatch
+        with pytest.raises(error, match=re.escape(name)):
+            net_from_params(cfg, values)
 
     def test_branch_structure_enforced(self):
-        c = 2
-        with pytest.raises(T.ShapeMismatch):
-            # branch 0 may not carry a cascade kernel
-            MultiBranchConv(c, [Branch((identity1(c),), kern3(c, c, 71))])
+        # branch 1 must carry its one cascade kernel, and branch 0 has none
+        self.refused(2, "body0.conv0.br1.casc0.w", None)
+        assert "body0.conv0.br0.casc0.w" not in param_shapes(
+            BackboneConfig(channels=2, blocks=1, branches=2))
 
     def test_branch_chain_break_rejected(self):
         # a 2->3 cascade kernel cannot feed a 4-channel 3x3 conv
-        bad = ConvKernel(np.zeros((3, 2, 1, 1), np.float32), np.zeros(3, np.float32))
-        with pytest.raises(ChannelMismatch):
-            Branch([bad], kern3(4, 4, 30))
+        self.refused(4, "body0.conv1.br1.casc0.w", np.zeros((3, 2, 1, 1), np.float32))
 
     def test_branch_width_mismatch_rejected(self):
         # every kernel of a block maps its channels to its channels
-        with pytest.raises(ChannelMismatch, match="branch 1 has a 4->4"):
-            MultiBranchConv(3, [Branch((), kern3(3, 3, 70)),
-                                Branch((identity1(4),), kern3(3, 4, 71))])
+        self.refused(3, "body0.conv0.br1.casc0.w", identity1(4)[0])
+        self.refused(3, "body0.conv0.br1.main.w", kern3(3, 4, 71)[0])
         # a cascade that reads 4 channels feeding a 3->3 main conv
-        narrowing = ConvKernel(np.ones((3, 4, 1, 1), np.float32), np.zeros(3, np.float32))
-        with pytest.raises(ChannelMismatch, match="branch 1 has a 4->3"):
-            MultiBranchConv(3, [Branch((), kern3(3, 3, 72)),
-                                Branch((narrowing,), kern3(3, 3, 73))])
+        self.refused(3, "body0.conv0.br1.casc0.w", np.ones((3, 4, 1, 1), np.float32))
 
 
 def expected_param_count(config: BackboneConfig) -> int:
