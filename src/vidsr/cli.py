@@ -5,8 +5,10 @@ Conceptually, train/fuse run on the server and infer/eval on the client.
 Progress and metrics go to standard error; machine-readable records go to
 files only. Every subcommand writes a run manifest alongside its outputs.
 
-Exit codes: 0 success, 1 usage error, 2 validation/verify failure,
-3 internal numeric failure.
+Exit codes, one per kind of failure (see ``main``): 0 success; 1 a usage
+error or an unreadable or malformed input file; 2 inputs that do not fit
+together, or a verify failure; 3 training diverged. Any other exception
+is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 
 from . import __version__, metrics, model_io, tensor
 from .fuse import fuse_network
+from .model_io import InputError
 from .network import BackboneConfig, build_backbone, param_count, sr_forward
 from .pipeline import (
     TrainConfig,
@@ -37,7 +40,7 @@ from .pipeline import (
     train,
     train_baseline_per_chunk,
 )
-from .tensor import Tensor4
+from .tensor import Tensor4, ValidationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,11 +51,8 @@ SEED_ENV = "VIDSR_SEED"
 
 
 class UsageError(Exception):
-    pass
-
-
-class InputError(Exception):
-    """A malformed input file (exit 1, like a bad container or frame)."""
+    """A bad argument or environment variable, or arguments that do not fit
+    together."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,7 +94,7 @@ def _finite(positive):
     return parse
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
     try:
         return _int_from(0)(os.environ.get(SEED_ENV, "0"))
     except argparse.ArgumentTypeError as e:
@@ -253,8 +253,6 @@ def cmd_train(args) -> int:
                 net = build_backbone(backbone, seed=cfg.seed)
                 prompts = default_prompts(video, cfg.tvp_size)
                 tvp_side = prompts[0].size_h if prompts else 0
-                _log(f"train: {param_count(net)} params, {video.num_chunks} "
-                     f"chunks, {len(prompts)} prompts, {cfg.iters} iterations")
                 res = train(net, prompts, video, cfg)
     except TrainDiverged as e:
         dump = _write_json(_sidecar(out, "diagnostic.json"), e.diagnostic())
@@ -282,9 +280,6 @@ def cmd_train(args) -> int:
                         {"frames": args.frames}, outputs)
         return EXIT_OK
 
-    for entry in res.log:
-        _log(f"train: epoch {entry['epoch']} iter {entry['iter']} "
-             f"loss {entry['loss']:.4f} psnr {entry['psnr_eval']:.2f}")
     out.parent.mkdir(parents=True, exist_ok=True)
     model_io.save_model(out, res.net, res.prompts, chunks=chunks_header,
                         train_config=cfg.snapshot())
@@ -292,6 +287,13 @@ def cmd_train(args) -> int:
     _write_records(log_path, res.log)
     _write_manifest(out, "train", config,
                     {"frames": args.frames}, [out, Path(log_path)])
+    # reported once every output is written, so a failing check or write
+    # prints only its own line
+    _log(f"train: {param_count(res.net)} params, {video.num_chunks} chunks, "
+         f"{len(res.prompts)} prompts, {cfg.iters} iterations")
+    for entry in res.log:
+        _log(f"train: epoch {entry['epoch']} iter {entry['iter']} "
+             f"loss {entry['loss']:.4f} psnr {entry['psnr_eval']:.2f}")
     _log(f"train: wrote {out}")
     return EXIT_OK
 
@@ -334,11 +336,11 @@ def cmd_infer(args) -> int:
     net, prompts, _ = model_io.load_model(args.model)
     meta, frames = _load_chunk_dir(Path(args.chunked))
     if net.config.scale != meta["scale"]:
-        raise ValueError(f"model upscales x{net.config.scale}, chunks.json "
-                         f"says x{meta['scale']}")
+        raise ValidationError(f"model upscales x{net.config.scale}, "
+                              f"chunks.json says x{meta['scale']}")
     if len(prompts) not in (0, meta["chunks"]):
-        raise ValueError(f"model carries {len(prompts)} prompts, chunks.json "
-                         f"has {meta['chunks']} chunks")
+        raise ValidationError(f"model carries {len(prompts)} prompts, "
+                              f"chunks.json has {meta['chunks']} chunks")
     sr = [sr_frame(net, prompts[chunk_index(meta["boundaries"], i)]
                    if prompts else None, f).data[0]
           for i, f in enumerate(frames)]
@@ -385,6 +387,11 @@ def cmd_eval(args) -> int:
                 Tensor4(lr[i][None]), a, args.scale)
         records.append(rec)
 
+    if args.records:
+        _write_records(args.records, records)
+        _write_manifest(Path(args.records), "eval", vars(args),
+                        {"sr": args.sr, "hr": args.hr, "lr": args.lr},
+                        [args.records])
     mean_psnr = float(np.mean([r["psnr"] for r in records]))
     mean_ssim = float(np.mean([r["ssim"] for r in records]))
     _log(f"eval: frames {len(records)}  PSNR {mean_psnr:.3f} dB  "
@@ -392,11 +399,6 @@ def cmd_eval(args) -> int:
     if lr is not None:
         mean_c = float(np.mean([r["consistency"] for r in records]))
         _log(f"eval: consistency (x1e-1) {mean_c:.3f}")
-    if args.records:
-        _write_records(args.records, records)
-        _write_manifest(Path(args.records), "eval", vars(args),
-                        {"sr": args.sr, "hr": args.hr, "lr": args.lr},
-                        [args.records])
     return EXIT_OK
 
 
@@ -428,18 +430,10 @@ def cmd_cost_report(args) -> int:
         model_files = [args.model]
         _, _, header = model_io.load_model(args.model)
         prompt_bytes = model_io.prompt_payload_bytes(header)
-        n = len(meta["boundaries"])
-        if args.scheme == "shared-model+tvp" and len(prompt_bytes) != n:
-            raise UsageError(
-                f"model carries {len(prompt_bytes)} prompts, video has {n} chunks")
     report = metrics.cost_report(
         args.scheme, lr_chunks, model_files,
         prompt_bytes=prompt_bytes if args.scheme == "shared-model+tvp" else None,
         lr_override_bytes=overrides)
-    _log(f"cost-report [{args.scheme}] N={report.chunk_count}")
-    _log(f"  LR bytes per chunk: {report.lr_bytes}")
-    _log(f"  model bytes: {report.model_bytes}  prompt bytes: {report.prompt_bytes}")
-    _log(f"  LR+MODEL (TOTAL) MB: {report.format_line()}")
     if args.records:
         _write_records(args.records, [{
             "scheme": report.scheme,
@@ -451,6 +445,10 @@ def cmd_cost_report(args) -> int:
         }])
         _write_manifest(Path(args.records), "cost-report", vars(args),
                         {"chunked": args.chunked}, [args.records])
+    _log(f"cost-report [{args.scheme}] N={report.chunk_count}")
+    _log(f"  LR bytes per chunk: {report.lr_bytes}")
+    _log(f"  model bytes: {report.model_bytes}  prompt bytes: {report.prompt_bytes}")
+    _log(f"  LR+MODEL (TOTAL) MB: {report.format_line()}")
     return EXIT_OK
 
 
@@ -472,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--width", type=_int_from(9), default=96)
     sp.add_argument("--shift-y", type=int, default=1)
     sp.add_argument("--shift-x", type=int, default=2)
-    sp.add_argument("--seed", type=_int_from(0), default=_default_seed())
+    sp.add_argument("--seed", type=_int_from(0), default=None)
     sp.set_defaults(fn=cmd_synth)
 
     cp = sub.add_parser("chunk", help="split into chunks and write LR frames")
@@ -496,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--sampler", choices=("uniform", "loss"), default="loss")
     tp.add_argument("--baseline-per-chunk", action="store_true",
                     help="train independent single-branch models per chunk")
-    tp.add_argument("--seed", type=_int_from(0), default=_default_seed())
+    tp.add_argument("--seed", type=_int_from(0), default=None)
     tp.add_argument("--epochs", type=_int_from(1), default=None)
     tp.add_argument("--iters", type=_int_from(1), default=2000)
     tp.add_argument("--batch", type=_int_from(1), default=32)
@@ -515,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--model", required=True)
     vp.add_argument("--tolerance", type=_finite(positive=False), default=1e-4)
     vp.add_argument("--trials", type=_int_from(1), default=20)
-    vp.add_argument("--seed", type=_int_from(0), default=_default_seed())
+    vp.add_argument("--seed", type=_int_from(0), default=None)
     vp.set_defaults(fn=cmd_verify_fuse)
 
     ip = sub.add_parser("infer", help="super-resolve delivered LR chunks")
@@ -552,16 +550,19 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
+        # only a subcommand with --seed reads the variable, and only when
+        # --seed is not given
+        if getattr(args, "seed", 0) is None:
+            args.seed = _env_seed()
         args.started = started
         return args.fn(args)
     except UsageError as e:
         _log(f"usage error: {e}")
         return EXIT_USAGE
-    except (FileNotFoundError, InputError, model_io.ContainerError,
-            model_io.FrameError) as e:
+    except (OSError, InputError) as e:
         _log(f"input error: {e}")
         return EXIT_USAGE
-    except ValueError as e:
+    except ValidationError as e:
         _log(f"validation error: {e}")
         return EXIT_VALIDATION
 

@@ -13,6 +13,7 @@ import numpy as np
 from .tensor import (
     ShapeMismatch,
     Tensor4,
+    ValidationError,
     _band_apply,
     _band_blocks,
     _parallel,
@@ -204,25 +205,26 @@ def cost_report(scheme: str, lr_chunk_files, model_files,
     lr_override_bytes substitutes externally-encoded chunk sizes.
     """
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
+        raise ValidationError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     n = len(lr_chunk_files)
     if lr_override_bytes is not None:
         if len(lr_override_bytes) != n:
-            raise ValueError("need one LR size override per chunk")
+            raise ValidationError("need one LR size override per chunk")
         lr_bytes = [int(v) for v in lr_override_bytes]
     else:
         lr_bytes = [sum(_file_size(f) for f in chunk) for chunk in lr_chunk_files]
     model_files = list(model_files)
     if scheme == "per-chunk-models":
         if len(model_files) != n:
-            raise ValueError(f"per-chunk scheme needs {n} models, got {len(model_files)}")
+            raise ValidationError(f"per-chunk scheme needs {n} models, "
+                                  f"got {len(model_files)}")
     elif len(model_files) != 1:
-        raise ValueError("shared schemes take exactly one model container")
+        raise ValidationError("shared schemes take exactly one model container")
     model_bytes = [_file_size(f) for f in model_files]
     if scheme == "shared-model+tvp":
         t = [int(v) for v in (prompt_bytes or [])]
         if len(t) != n:
-            raise ValueError(f"need one prompt size per chunk, got {len(t)}")
+            raise ValidationError(f"need one prompt size per chunk, got {len(t)}")
     else:
         t = [0] * n
     return CostReport(scheme, lr_bytes, model_bytes, t)

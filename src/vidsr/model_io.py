@@ -25,38 +25,15 @@ import numpy as np
 from . import __version__
 from .network import BackboneConfig, net_from_params, param_shapes
 from .prompt import VisualPrompt
-from .tensor import TensorError
+from .tensor import ShapeMismatch, ValidationError
 
 MAGIC = b"RCAM"
 FORMAT_VERSION = 1
 
 
-class ContainerError(Exception):
-    """Base class for model container failures."""
-
-
-class BadMagic(ContainerError):
-    pass
-
-
-class UnsupportedVersion(ContainerError):
-    pass
-
-
-class CrcMismatch(ContainerError):
-    pass
-
-
-class TruncatedPayload(ContainerError):
-    pass
-
-
-class HeaderError(ContainerError):
-    pass
-
-
-class FrameError(Exception):
-    """Raised for malformed or inconsistent frame files."""
+class InputError(Exception):
+    """A malformed or unreadable input file: a model container, a PPM
+    frame or frame directory, ``chunks.json`` or a size file."""
 
 
 @dataclass
@@ -88,37 +65,37 @@ def save_container(path, container: ModelContainer):
 def load_container(path) -> ModelContainer:
     raw = Path(path).read_bytes()
     if len(raw) < 10 or raw[:4] != MAGIC:
-        raise BadMagic(f"{path}: not a model container")
+        raise InputError(f"{path}: not a model container")
     (version,) = struct.unpack_from("<H", raw, 4)
     if version != FORMAT_VERSION:
-        raise UnsupportedVersion(f"{path}: format version {version}")
+        raise InputError(f"{path}: format version {version}")
     (hlen,) = struct.unpack_from("<I", raw, 6)
     if len(raw) < 10 + hlen + 4:
-        raise TruncatedPayload(f"{path}: header runs past end of file")
+        raise InputError(f"{path}: header runs past end of file")
     try:
         header = json.loads(raw[10:10 + hlen].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise HeaderError(f"{path}: bad header ({e})") from None
-    manifest = header.get("manifest")
+        raise InputError(f"{path}: bad header ({e})") from None
+    manifest = header.get("manifest") if isinstance(header, dict) else None
     if not isinstance(manifest, list):
-        raise HeaderError(f"{path}: header lacks a tensor manifest")
+        raise InputError(f"{path}: header lacks a tensor manifest")
     for i, entry in enumerate(manifest):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise HeaderError(f"{path}: manifest entry {i} lacks a tensor name")
+            raise InputError(f"{path}: manifest entry {i} lacks a tensor name")
         dims = entry.get("dims")
         if not (isinstance(dims, list)
                 and all(type(d) is int and d >= 0 for d in dims)):
-            raise HeaderError(f"{path}: manifest entry {entry['name']!r} "
-                              f"lacks int dims, got {dims!r}")
+            raise InputError(f"{path}: manifest entry {entry['name']!r} "
+                             f"lacks int dims, got {dims!r}")
     counts = [math.prod(entry["dims"]) for entry in manifest]
     payload_len = sum(counts) * 4
     start = 10 + hlen
     if len(raw) < start + payload_len + 4:
-        raise TruncatedPayload(f"{path}: payload truncated")
+        raise InputError(f"{path}: payload truncated")
     payload = raw[start:start + payload_len]
     (crc,) = struct.unpack_from("<I", raw, start + payload_len)
     if zlib.crc32(payload) != crc:
-        raise CrcMismatch(f"{path}: payload CRC mismatch")
+        raise InputError(f"{path}: payload CRC mismatch")
     tensors = {}
     offset = 0
     for entry, count in zip(manifest, counts):
@@ -162,30 +139,30 @@ def save_model(path, net, prompts=(), chunks=None, train_config=None):
 def _net_from_container(container: ModelContainer):
     arch = container.header.get("arch")
     if not isinstance(arch, dict):
-        raise HeaderError("container has no architecture header")
+        raise InputError("container has no architecture header")
     for key in ("kind", "merge", *ARCH_FIELDS):
         if key not in arch:
-            raise HeaderError(f"architecture header lacks {key!r}")
+            raise InputError(f"architecture header lacks {key!r}")
     if arch["merge"] != "sum":
-        raise HeaderError(f"unsupported merge {arch['merge']!r} (only 'sum')")
+        raise InputError(f"unsupported merge {arch['merge']!r} (only 'sum')")
     for key, kind in ARCH_FIELDS.items():
         if type(arch[key]) is not kind:
-            raise HeaderError(f"architecture {key!r} must be "
-                              f"{kind.__name__}, got {arch[key]!r}")
+            raise InputError(f"architecture {key!r} must be "
+                             f"{kind.__name__}, got {arch[key]!r}")
     try:
         cfg = BackboneConfig(**{key: arch[key] for key in ARCH_FIELDS})
-    except ValueError as e:
-        raise HeaderError(f"bad architecture: {e}") from None
+    except ValidationError as e:
+        raise InputError(f"bad architecture: {e}") from None
     want = _arch_header(cfg)["kind"]
     if arch["kind"] != want:
-        raise HeaderError(f"architecture kind {arch['kind']!r} does not fit "
-                          f"{cfg.branches} branches (want {want!r})")
+        raise InputError(f"architecture kind {arch['kind']!r} does not fit "
+                         f"{cfg.branches} branches (want {want!r})")
     try:
         return net_from_params(cfg, container.tensors)
     except KeyError as e:
-        raise HeaderError(f"container missing tensor {e}") from None
-    except TensorError as e:
-        raise HeaderError(f"tensors do not fit the architecture: {e}") from None
+        raise InputError(f"container missing tensor {e}") from None
+    except ShapeMismatch as e:
+        raise InputError(f"tensors do not fit the architecture: {e}") from None
 
 
 def load_model(path):
@@ -198,32 +175,32 @@ def load_model(path):
     net = _net_from_container(container)
     entries = container.header.get("prompts", [])
     if not isinstance(entries, list):
-        raise HeaderError(f"{path}: 'prompts' must be a list")
+        raise InputError(f"{path}: 'prompts' must be a list")
     prompts = []
     for i, entry in enumerate(entries):
         cid = entry.get("chunk_id") if isinstance(entry, dict) else None
         if type(cid) is not int:
-            raise HeaderError(f"{path}: prompt entry {i} lacks an int chunk_id")
+            raise InputError(f"{path}: prompt entry {i} lacks an int chunk_id")
         values = container.tensors.get(f"prompt{cid}")
         if values is None:
-            raise HeaderError(f"{path}: container missing tensor 'prompt{cid}'")
+            raise InputError(f"{path}: container missing tensor 'prompt{cid}'")
         if entry.get("dims") != list(values.shape):
-            raise HeaderError(f"{path}: prompt {cid} dims {entry.get('dims')!r} "
-                              f"differ from its tensor's {list(values.shape)}")
+            raise InputError(f"{path}: prompt {cid} dims {entry.get('dims')!r} "
+                             f"differ from its tensor's {list(values.shape)}")
         if cid != i:
-            raise HeaderError(f"{path}: prompt entry {i} has chunk_id {cid}; "
-                              f"prompts must carry chunk ids 0..{len(entries) - 1}"
-                              f" in order")
+            raise InputError(f"{path}: prompt entry {i} has chunk_id {cid}; "
+                             f"prompts must carry chunk ids 0..{len(entries) - 1}"
+                             f" in order")
         try:
             prompts.append(VisualPrompt(cid, values))
-        except TensorError as e:
-            raise HeaderError(f"{path}: prompt {cid}: {e}") from None
+        except ShapeMismatch as e:
+            raise InputError(f"{path}: prompt {cid}: {e}") from None
     named = set(param_shapes(net.config)) | {f"prompt{p.chunk_id}" for p in prompts}
     unnamed = sorted(set(container.tensors) - named)
     if unnamed:
-        raise HeaderError(f"{path}: tensor {unnamed[0]!r} is neither a parameter "
-                          f"of the architecture nor a declared prompt"
-                          f" ({len(unnamed)} such tensors)")
+        raise InputError(f"{path}: tensor {unnamed[0]!r} is neither a parameter "
+                         f"of the architecture nor a declared prompt"
+                         f" ({len(unnamed)} such tensors)")
     return net, prompts, container.header
 
 
@@ -248,12 +225,12 @@ def float_to_byte(v: np.ndarray) -> np.ndarray:
 def write_ppm(path, frame: np.ndarray):
     """frame: (3, H, W) float32 in [0,1]."""
     if frame.ndim != 4 and frame.ndim != 3:
-        raise FrameError(f"frame must be (3,H,W), got {frame.shape}")
+        raise ShapeMismatch(f"frame must be (3,H,W), got {frame.shape}")
     if frame.ndim == 4:
         frame = frame[0]
     c, h, w = frame.shape
     if c != 3:
-        raise FrameError(f"frame must have 3 channels, got {c}")
+        raise ShapeMismatch(f"frame must have 3 channels, got {c}")
     planes = float_to_byte(frame)
     rgb = np.empty((h, w, 3), np.uint8)
     for ch in range(3):
@@ -268,7 +245,7 @@ def _read_token(fh):
     while True:
         ch = fh.read(1)
         if not ch:
-            raise FrameError("unexpected end of PPM header")
+            raise InputError("unexpected end of PPM header")
         if ch == b"#":
             while ch not in (b"\n", b""):
                 ch = fh.read(1)
@@ -283,7 +260,7 @@ def _read_token(fh):
 def _read_int(fh, path):
     tok = _read_token(fh)
     if not tok.isdigit():
-        raise FrameError(f"{path}: non-numeric PPM header token {tok!r}")
+        raise InputError(f"{path}: non-numeric PPM header token {tok!r}")
     return int(tok)
 
 
@@ -291,17 +268,17 @@ def read_ppm(path) -> np.ndarray:
     """Returns a (3, H, W) float32 array with values v/255."""
     with open(path, "rb") as fh:
         if fh.read(2) != b"P6":
-            raise FrameError(f"{path}: not a binary PPM (P6)")
+            raise InputError(f"{path}: not a binary PPM (P6)")
         w = _read_int(fh, path)
         h = _read_int(fh, path)
         maxval = _read_int(fh, path)
         if maxval != 255:
-            raise FrameError(f"{path}: only maxval 255 supported, got {maxval}")
+            raise InputError(f"{path}: only maxval 255 supported, got {maxval}")
         if w < 1 or h < 1:
-            raise FrameError(f"{path}: empty frame {w}x{h}")
+            raise InputError(f"{path}: empty frame {w}x{h}")
         # checked before reading, so a huge header allocates nothing
         if w * h * 3 > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise FrameError(f"{path}: pixel data truncated")
+            raise InputError(f"{path}: pixel data truncated")
         data = fh.read(w * h * 3)
     rgb = np.frombuffer(data, np.uint8).reshape(h, w, 3)
     return np.ascontiguousarray(rgb.transpose(2, 0, 1)).astype(np.float32) / 255.0
@@ -323,17 +300,17 @@ def read_frames(directory):
     directory = Path(directory)
     paths = sorted(directory.glob("frame_*.ppm"))
     if not paths:
-        raise FrameError(f"no frames found in {directory}")
+        raise InputError(f"no frames found in {directory}")
     frames = []
     dims = None
     for i, p in enumerate(paths):
         if p != frame_path(directory, i):
-            raise FrameError(f"frame indices not contiguous at {p.name}")
+            raise InputError(f"frame indices not contiguous at {p.name}")
         f = read_ppm(p)
         if dims is None:
             dims = f.shape
         elif f.shape != dims:
-            raise FrameError(
+            raise InputError(
                 f"frame {i} dims {f.shape[1:]} differ from {dims[1:]}")
         frames.append(f)
     return frames
@@ -374,7 +351,8 @@ def _scene_pattern(rng, h, w):
         ry = int(rng.integers(0, h - rh))
         rx = int(rng.integers(0, w - rw))
         pattern[:, ry:ry + rh, rx:rx + rw] = rng.uniform(0, 1, 3)[:, None, None]
-    side = max(8, (h // 3) // 4 * 4)
+    # narrower than the frame, so a portrait frame down to 9 wide has room
+    side = min(max(8, (h // 3) // 4 * 4), (w - 1) // 4 * 4)
     ty = int(rng.integers(0, h - side))
     tx = int(rng.integers(0, w - side))
     cells = rng.random((3, side // 4, side // 4))

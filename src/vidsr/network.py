@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import (
-    ChannelMismatch,
     ShapeMismatch,
     Tensor4,
+    ValidationError,
     _as_f32,
     _bicubic_resize,
     _conv2d,
@@ -41,9 +41,9 @@ class BackboneConfig:
 
     def __post_init__(self):
         if self.channels < 1 or self.blocks < 1 or self.branches < 1:
-            raise ValueError("channels, blocks, branches must be >= 1")
+            raise ValidationError("channels, blocks, branches must be >= 1")
         if self.scale not in (2, 3, 4):
-            raise ValueError(f"scale must be 2, 3 or 4, got {self.scale}")
+            raise ValidationError(f"scale must be 2, 3 or 4, got {self.scale}")
 
 
 @dataclass
@@ -220,7 +220,7 @@ def net_forward(ops, net: SRNet, params, x):
 def sr_forward(net, lr: Tensor4, clamp: bool = False) -> Tensor4:
     """Super-resolve one (1,3,h,w) frame (or a batch of them)."""
     if lr.dims[1] != 3:
-        raise ChannelMismatch(f"expected 3-channel input, got {lr.dims[1]}")
+        raise ShapeMismatch(f"expected 3-channel input, got {lr.dims[1]}")
     y = net_forward(EagerOps, net, net.params, lr.data)
     if clamp:
         np.clip(y, 0, 1, out=y)

@@ -22,7 +22,7 @@ from .network import (
     sr_forward,
 )
 from .prompt import apply_prompt, make_prompt, patch_placement
-from .tensor import ShapeMismatch, Tensor4, _bicubic_resize
+from .tensor import ShapeMismatch, Tensor4, ValidationError, _bicubic_resize
 
 EVAL_FRAME_STRIDE = 10  # evaluate on 1 frame out of 10
 GRID_CELL = 48          # sampler grid cell, HR pixels
@@ -98,9 +98,9 @@ def chunk_index(boundaries, frame: int) -> int:
 def chunk_boundaries(frame_count: int, n_chunks: int) -> list:
     """Chunk k spans [floor(k*F/N), floor((k+1)*F/N))."""
     if n_chunks < 1:
-        raise ValueError("need at least one chunk")
+        raise ValidationError("need at least one chunk")
     if n_chunks > frame_count:
-        raise ValueError(
+        raise ValidationError(
             f"cannot split {frame_count} frames into {n_chunks} chunks")
     return [(k * frame_count // n_chunks, (k + 1) * frame_count // n_chunks)
             for k in range(n_chunks)]
@@ -117,7 +117,7 @@ def chunk_video(hr_frames, n_chunks: int) -> ChunkedVideo:
 def make_lr(chunked: ChunkedVideo, scale: int) -> ChunkedVideo:
     """Bicubically downscale every HR frame, cropping to a multiple of scale."""
     if scale not in (1, 2, 3, 4):
-        raise ValueError(f"scale must be 1..4, got {scale}")
+        raise ValidationError(f"scale must be 1..4, got {scale}")
     hr = []
     lr = []
     for f in chunked.hr:
@@ -154,9 +154,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.sampler not in ("loss", "uniform"):
-            raise ValueError(f"unknown sampler {self.sampler!r}")
+            raise ValidationError(f"unknown sampler {self.sampler!r}")
         if self.patch % self.scale:
-            raise ValueError("patch size must be a multiple of the scale")
+            raise ValidationError("patch size must be a multiple of the scale")
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -330,10 +330,10 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
     pass. Deterministic for a fixed config and inputs.
     """
     if prompts and len(prompts) != video.num_chunks:
-        raise ValueError(f"need one prompt per chunk "
-                         f"({video.num_chunks}), got {len(prompts)}")
+        raise ValidationError(f"need one prompt per chunk "
+                              f"({video.num_chunks}), got {len(prompts)}")
     if any(p.chunk_id != k for k, p in enumerate(prompts)):
-        raise ValueError("prompts must be ordered by chunk id")
+        raise ValidationError("prompts must be ordered by chunk id")
     rng = np.random.default_rng(config.seed)
     sampler = PatchSampler(video, config, rng)
     params = {name: arr.copy() for name, arr in net.params.items()}

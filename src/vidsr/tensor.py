@@ -21,15 +21,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-class TensorError(ValueError):
-    """Base for shape/value violations in tensor operations."""
+class ValidationError(ValueError):
+    """Inputs that are each well formed but do not fit together or do not
+    fit the computation (exit 2 from the command line)."""
 
 
-class ChannelMismatch(TensorError):
-    """Input channel count does not match what the operation expects."""
-
-
-class ShapeMismatch(TensorError):
+class ShapeMismatch(ValidationError):
     """Operand dimensions are incompatible."""
 
 

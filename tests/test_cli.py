@@ -1,19 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import re
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vidsr import model_io, tensor
+from vidsr import __version__, model_io, tensor
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from vidsr.metrics import psnr
 from vidsr.network import BackboneConfig, build_backbone, named_params
 from vidsr.pipeline import (
     ChunkedVideo,
     TrainConfig,
+    chunk_index,
     chunk_video,
     epoch_length,
     evaluate_psnr,
@@ -325,6 +332,40 @@ class TestExitCodes:
         assert err.strip() == "usage error: VIDSR_SEED must be an int >= 0, got '-1'"
         assert not (workspace / "d").exists()
 
+    def test_version_ignores_bad_env_seed(self, monkeypatch, capsys):
+        monkeypatch.setenv("VIDSR_SEED", "abc")
+        with pytest.raises(SystemExit) as e:
+            run("--version")
+        assert e.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+    @pytest.mark.parametrize("command", ["cost-report", "synth-with-seed"])
+    def test_bad_env_seed_is_read_only_for_an_unset_seed(
+            self, synth_video, monkeypatch, capsys, command):
+        # a subcommand without --seed, and one given --seed, never read it
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        TestMalformedInputs.save_toy_model(ws / "m.rcam", prompts=3)
+        monkeypatch.setenv("VIDSR_SEED", "abc")
+        argv = {"cost-report": ["cost-report", "--chunked", ws / "chunked",
+                                "--model", ws / "m.rcam"],
+                "synth-with-seed": ["synth", "--out", ws / "s", "--frames", 1,
+                                    "--height", 9, "--width", 9, "--seed", 4],
+                }[command]
+        capsys.readouterr()
+        assert run(*argv) == EXIT_OK
+        assert "VIDSR_SEED" not in capsys.readouterr().err
+
+    def test_unnamed_value_error_is_a_traceback(self, workspace, monkeypatch):
+        # only the named classes map to exit codes; any other exception is
+        # a bug and leaves main as itself
+        def broken(config):
+            raise ValueError("not a named check")
+        monkeypatch.setattr(model_io, "generate_synthetic_video", broken)
+        with pytest.raises(ValueError, match="not a named check"):
+            run("synth", "--out", workspace / "d")
+
 
 class TestMalformedInputs:
     """Each malformed input ends in its documented exit code with one
@@ -338,10 +379,10 @@ class TestMalformedInputs:
         return err
 
     @staticmethod
-    def save_toy_model(path, scale=2, prompts=0, branches=3):
+    def save_toy_model(path, scale=2, prompts=0, branches=3, side=4):
         net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=branches,
                                             scale=scale), seed=0)
-        model_io.save_model(path, net, [make_prompt(k, 4) for k in range(prompts)])
+        model_io.save_model(path, net, [make_prompt(k, side) for k in range(prompts)])
 
     @pytest.mark.parametrize("key,value,message", [
         ("channels", None, "lacks 'channels'"),
@@ -629,3 +670,242 @@ class TestMalformedInputs:
         err = self.one_line(capsys)
         assert err.startswith("input error:") and "chunk_id 5" in err
         assert not (ws / "sr").exists()
+
+    @pytest.mark.parametrize("case,message", [
+        ("infer-model-dir", "Is a directory"),
+        ("cost-report-model-dir", "Is a directory"),
+        ("train-out-dir", "Is a directory"),
+        ("train-out-under-file", "File exists"),
+        ("eval-records-dir", "Is a directory"),
+        ("cost-report-records-dir", "Is a directory"),
+    ])
+    def test_unusable_path_is_one_line_input_error(self, synth_video, capsys,
+                                                   case, message):
+        # each ended in an OSError traceback; the training ones only after
+        # the whole run
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        (ws / "adir").mkdir()
+        (ws / "afile").write_text("")
+        self.save_toy_model(ws / "m.rcam", prompts=3)
+        argv = {"infer-model-dir": ["infer", "--model", ws / "adir", "--chunked",
+                                    ws / "chunked", "--out", ws / "sr"],
+                "cost-report-model-dir": ["cost-report", "--chunked",
+                                          ws / "chunked", "--model", ws / "adir"],
+                "train-out-dir": small_train_args(ws, ws / "adir", iters=1),
+                "train-out-under-file": small_train_args(
+                    ws, ws / "afile" / "m.rcam", iters=1),
+                "eval-records-dir": ["eval", "--sr", ws / "hr", "--hr", ws / "hr",
+                                     "--records", ws / "adir"],
+                "cost-report-records-dir": ["cost-report", "--chunked",
+                                            ws / "chunked", "--model", ws / "m.rcam",
+                                            "--records", ws / "adir"],
+                }[case]
+        capsys.readouterr()
+        assert run(*argv) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+        assert not (ws / "sr").exists()
+
+    @pytest.fixture()
+    def small_frames(self, workspace):
+        """3 HR frames of 16x16 in hr/, chunked at x2 into 3 chunks of 8x8
+        LR frames; 3 frames of 3x3 in hr3/ and 2 of 8x8 in hr8/; a model
+        with 2 prompts and one with 3 prompts of 10x10."""
+        ws = workspace
+        assert run("synth", "--out", ws / "hr", "--frames", 3, "--height", 16,
+                   "--width", 16, "--seed", 3) == EXIT_OK
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        model_io.write_frames(ws / "hr3", [np.full((3, 3, 3), 0.5, np.float32)] * 3)
+        model_io.write_frames(ws / "hr8", [np.full((3, 8, 8), 0.5, np.float32)] * 2)
+        self.save_toy_model(ws / "m2.rcam", prompts=2)
+        self.save_toy_model(ws / "big.rcam", prompts=3, side=10)
+        return ws
+
+    TRAIN_ON_HR = ["train", "--frames", "hr", "--out", "d", "--channels", 4,
+                   "--blocks", 1, "--iters", 1, "--batch", 2, "--tvp-size", 4]
+
+    @pytest.mark.parametrize("argv,message", [
+        (TRAIN_ON_HR + ["--chunks", 3, "--patch", 48],
+         "patch 48 exceeds frame (16x16)"),
+        (TRAIN_ON_HR + ["--chunks", 3, "--patch", 7],
+         "patch size must be a multiple of the scale"),
+        (["chunk", "--frames", "hr", "--out", "d", "--chunks", 5],
+         "cannot split 3 frames into 5 chunks"),
+        (TRAIN_ON_HR + ["--chunks", 5], "cannot split 3 frames into 5 chunks"),
+        (["chunk", "--frames", "hr3", "--out", "d", "--chunks", 1, "--scale", 4],
+         "frame (3x3) smaller than scale 4"),
+        (["infer", "--model", "big.rcam", "--chunked", "chunked", "--out", "d"],
+         "prompt (10x10) larger than frame (8x8)"),
+        (["eval", "--sr", "hr8", "--hr", "hr8", "--records", "d"],
+         "image (8x8) smaller than the 11x11 window"),
+        # metrics.cost_report's check; cost-report exited 1 with its own copy
+        (["cost-report", "--chunked", "chunked", "--model", "m2.rcam",
+          "--records", "d"], "need one prompt size per chunk, got 2"),
+    ], ids=["train-patch-over-frame", "train-patch-off-scale", "chunk-chunks-5",
+            "train-chunks-5", "chunk-scale-over-frame", "infer-prompt-over-frame",
+            "eval-under-ssim-window", "cost-report-prompt-count"])
+    def test_argument_conflicting_with_data_is_one_line_validation_error(
+            self, small_frames, capsys, argv, message):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_VALIDATION
+        err = self.one_line(capsys)
+        assert err == f"validation error: {message}\n"
+        assert not (small_frames / "d").exists()
+
+
+# ---------------------------------------------------------------------------
+# properties through main: every run exits 0 or its documented code, and a
+# failing one prints one line with its code's prefix and no traceback
+# ---------------------------------------------------------------------------
+
+PREFIXES = {EXIT_USAGE: ("usage error:", "input error:"),
+            EXIT_VALIDATION: ("validation error:",)}
+
+
+def run_quiet(*argv):
+    """main's exit code and standard error (capsys is per test, and a
+    property runs many examples in one test)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(*argv)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    if code != EXIT_OK:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(PREFIXES[code]), err
+    return code, err
+
+
+@pytest.fixture(scope="module")
+def delivered(tmp_path_factory):
+    """6 frames of 32x32 chunked at x2 into 3 chunks, and a model with one
+    prompt per chunk."""
+    ws = tmp_path_factory.mktemp("delivered")
+    assert run_quiet("synth", "--out", ws / "hr", "--frames", 6, "--height", 32,
+                     "--width", 32, "--seed", 3)[0] == EXIT_OK
+    assert run_quiet("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                     "--chunks", 3, "--scale", 2)[0] == EXIT_OK
+    TestMalformedInputs.save_toy_model(ws / "m.rcam", prompts=3)
+    return ws
+
+
+NOT_AN_INT = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
+                       st.text(max_size=3), st.lists(st.integers(0, 6), max_size=2),
+                       st.dictionaries(st.text(max_size=2), st.integers(),
+                                       max_size=1))
+
+
+def _drop(key):
+    return lambda meta: meta.pop(key)
+
+
+def _set(key, value):
+    return lambda meta: meta.__setitem__(key, value)
+
+
+def _set_bound(k, j, value):
+    return lambda meta: meta["boundaries"][k].__setitem__(j, value)
+
+
+def _reorder(order):
+    return lambda meta: meta.__setitem__(
+        "boundaries", [meta["boundaries"][k] for k in order])
+
+
+def _overlap(k, d):
+    # chunk k starts d frames inside chunk k - 1
+    return lambda meta: meta["boundaries"][k].__setitem__(
+        0, meta["boundaries"][k][0] - d)
+
+
+# the keys the client reads; chunk's other keys are records for people
+CHUNKS_KEYS = ("chunks", "scale", "boundaries")
+
+MUTATIONS = st.one_of(
+    st.builds(_drop, st.sampled_from(CHUNKS_KEYS)),
+    st.builds(_set, st.sampled_from(CHUNKS_KEYS), NOT_AN_INT),
+    st.builds(_set_bound, st.integers(0, 2), st.integers(0, 1), NOT_AN_INT),
+    st.builds(_reorder, st.permutations(range(3)).filter(
+        lambda order: order != [0, 1, 2])),
+    st.builds(_overlap, st.integers(1, 2), st.integers(1, 2)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(mutate=MUTATIONS, command=st.sampled_from(["infer", "cost-report"]))
+def test_mutated_chunks_json_is_one_line_input_error(delivered, mutate, command):
+    ws = delivered
+    meta_path = ws / "chunked" / "chunks.json"
+    original = meta_path.read_text()
+    meta = json.loads(original)
+    mutate(meta)
+    meta_path.write_text(json.dumps(meta))
+    try:
+        out = ["--out", ws / "sr"] if command == "infer" else []
+        code, err = run_quiet(command, "--model", ws / "m.rcam",
+                              "--chunked", ws / "chunked", *out)
+    finally:
+        meta_path.write_text(original)
+    assert code == EXIT_USAGE and err.startswith("input error:"), err
+    assert not (ws / "sr").exists()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(frames=st.integers(1, 4), height=st.integers(9, 40),
+       width=st.integers(9, 40), scale=st.integers(2, 4),
+       chunks=st.integers(1, 4), branches=st.integers(1, 3),
+       tvp=st.integers(0, 20), patch_cells=st.integers(1, 6))
+def test_tiny_geometry_walkthrough_exits_as_documented(
+        frames, height, width, scale, chunks, branches, tvp, patch_cells):
+    """synth | chunk | train | fuse | infer, then eval and cost-report of
+    the result, at tiny geometries. Each step exits with the code its
+    documented checks give these arguments: 2 for more chunks than frames,
+    a patch larger than the HR frame cropped to the scale, a frame under
+    SSIM's 11x11 window, or a prompt-count mismatch (no prompts under
+    shared-model+tvp); 0 otherwise."""
+    patch = patch_cells * scale
+    side = min(height // scale, width // scale) * scale  # cropped HR
+    with tempfile.TemporaryDirectory() as d:
+        ws = Path(d)
+        chain = [
+            (["synth", "--out", ws / "hr", "--frames", frames, "--height", height,
+              "--width", width, "--seed", 5], EXIT_OK),
+            (["chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+              "--chunks", chunks, "--scale", scale],
+             EXIT_VALIDATION if chunks > frames else EXIT_OK),
+            (["train", "--frames", ws / "hr", "--out", ws / "m.rcam",
+              "--scale", scale, "--chunks", chunks, "--branches", branches,
+              "--channels", 4, "--blocks", 1, "--iters", 2, "--batch", 2,
+              "--patch", patch, "--tvp-size", tvp, "--lr", "1e-3",
+              "--seed", 0], EXIT_VALIDATION if patch > side else EXIT_OK),
+            (["fuse", "--model", ws / "m.rcam", "--out", ws / "f.rcam"], EXIT_OK),
+            (["infer", "--model", ws / "f.rcam", "--chunked", ws / "chunked",
+              "--out", ws / "sr"], EXIT_OK),
+        ]
+        for argv, want in chain:
+            assert run_quiet(*argv)[0] == want, argv
+            if want != EXIT_OK:
+                return
+        code, _ = run_quiet("eval", "--sr", ws / "sr", "--hr", ws / "chunked" / "hr",
+                            "--lr", ws / "chunked" / "lr", "--scale", scale)
+        assert code == (EXIT_VALIDATION if side < 11 else EXIT_OK)
+        code, _ = run_quiet("cost-report", "--chunked", ws / "chunked",
+                            "--model", ws / "f.rcam")
+        assert code == (EXIT_VALIDATION if tvp == 0 else EXIT_OK)
+
+        meta = json.loads((ws / "chunked" / "chunks.json").read_text())
+        lr = model_io.read_frames(ws / "chunked" / "lr")
+        sr = model_io.read_frames(ws / "sr")
+        lh, lw = meta["lr_dims"]
+        assert len(sr) == meta["frames"] == frames
+        assert {f.shape for f in sr} == {(3, lh * scale, lw * scale)}
+        net, prompts, _ = model_io.load_model(ws / "m.rcam")
+        fused, fused_prompts, _ = model_io.load_model(ws / "f.rcam")
+        for i, f in enumerate(lr):
+            k = chunk_index(meta["boundaries"], i)
+            a = sr_frame(net, prompts[k] if prompts else None, f)
+            b = sr_frame(fused, fused_prompts[k] if fused_prompts else None, f)
+            assert np.abs(a.data - b.data).max() <= 1e-4

@@ -23,7 +23,7 @@ from vidsr.network import (
     sr_forward,
 )
 from vidsr.prompt import VisualPrompt, apply_prompt
-from vidsr.tensor import ChannelMismatch, ShapeMismatch, Tensor4
+from vidsr.tensor import ShapeMismatch, Tensor4
 
 from oracles import srnet_oracle
 
@@ -128,7 +128,7 @@ class TestMultiBranchForward:
         # the forward checks channels once, at the network's input
         net = build_backbone(BackboneConfig(channels=4, blocks=1, branches=2),
                              seed=70)
-        with pytest.raises(ChannelMismatch):
+        with pytest.raises(ShapeMismatch, match="3-channel"):
             sr_forward(net, Tensor4.zeros(1, 4, 4, 4))
 
     # A block's structure and widths are its names and shapes in
