@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -31,6 +32,7 @@ from .network import BackboneConfig, build_backbone, param_count, sr_forward
 from .pipeline import (
     TrainConfig,
     TrainDiverged,
+    check_patch,
     chunk_index,
     chunk_video,
     default_prompts,
@@ -240,14 +242,21 @@ def cmd_train(args) -> int:
                               branches=args.branches, scale=args.scale)
     chunks_header = {"count": video.num_chunks,
                      "boundaries": [list(b) for b in video.boundaries]}
+    check_patch(video, cfg.patch)
+    # --out is checked and created once the set-up checks pass, before the run
     out = Path(args.out)
+    if args.baseline_per_chunk:
+        out.mkdir(parents=True, exist_ok=True)
+    elif out.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    else:
+        out.parent.mkdir(parents=True, exist_ok=True)
     tvp_side = 0  # the side the trained prompts have; the baseline has none
     try:
         # a diverging run overflows before the non-finite loss check stops
         # it; that check reports it, and numpy's warnings would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             if args.baseline_per_chunk:
-                out.mkdir(parents=True, exist_ok=True)
                 results = train_baseline_per_chunk(video, backbone, cfg)
             else:
                 net = build_backbone(backbone, seed=cfg.seed)
@@ -280,7 +289,6 @@ def cmd_train(args) -> int:
                         {"frames": args.frames}, outputs)
         return EXIT_OK
 
-    out.parent.mkdir(parents=True, exist_ok=True)
     model_io.save_model(out, res.net, res.prompts, chunks=chunks_header,
                         train_config=cfg.snapshot())
     log_path = args.log or str(out) + ".metrics.jsonl"
@@ -333,8 +341,14 @@ def cmd_verify_fuse(args) -> int:
 
 
 def cmd_infer(args) -> int:
+    out = Path(args.out)
+    chunked = Path(args.chunked)
+    for src in (chunked, chunked / "lr"):
+        if out.resolve() == src.resolve():
+            raise InputError(f"--out {out} is the input directory {src}; "
+                             f"infer would overwrite its frames")
     net, prompts, _ = model_io.load_model(args.model)
-    meta, frames = _load_chunk_dir(Path(args.chunked))
+    meta, frames = _load_chunk_dir(chunked)
     if net.config.scale != meta["scale"]:
         raise ValidationError(f"model upscales x{net.config.scale}, "
                               f"chunks.json says x{meta['scale']}")
@@ -344,7 +358,6 @@ def cmd_infer(args) -> int:
     sr = [sr_frame(net, prompts[chunk_index(meta["boundaries"], i)]
                    if prompts else None, f).data[0]
           for i, f in enumerate(frames)]
-    out = Path(args.out)
     model_io.write_frames(out, sr)
     _write_manifest(out, "infer", vars(args),
                     {"model": args.model, "chunked": args.chunked},

@@ -170,6 +170,13 @@ class PatchRef:
     x: int
 
 
+def check_patch(video: ChunkedVideo, patch: int):
+    """Refuse an HR patch side that does not fit the frames."""
+    _, h, w = video.hr[0].shape
+    if patch > h or patch > w:
+        raise ShapeMismatch(f"patch {patch} exceeds frame ({h}x{w})")
+
+
 class PatchSampler:
     """Draws training patches; the loss strategy keeps an EMA of patch
     L1 loss on a coarse grid and samples cells proportionally to it
@@ -181,9 +188,8 @@ class PatchSampler:
         self.scale = video.scale
         self.strategy = config.sampler
         self.rng = rng
+        check_patch(video, self.patch)
         _, h, w = video.hr[0].shape
-        if self.patch > h or self.patch > w:
-            raise ShapeMismatch(f"patch {self.patch} exceeds frame ({h}x{w})")
         self.max_y = h - self.patch
         self.max_x = w - self.patch
         self.grid_h = self.max_y // GRID_CELL + 1

@@ -193,14 +193,18 @@ def _workspace(slot, size, dt):
 
 
 # The kernels cut their work into cache-sized pieces (conv tiles,
-# grad-weight's image groups, row or column ranges of a banded resize,
-# SSIM strips) and split the pieces over WORKERS threads: the caller and
-# a pool of WORKERS - 1. WORKERS is the thread count numpy's OpenBLAS
-# started with, so OPENBLAS_NUM_THREADS=1 runs every kernel in turn. A
-# call is split into at most one share per CONV_TILE of work (_parts), as
-# pool round trips slow small calls. Each piece writes its own output
-# rows and reduced partials are added in piece order, so the split does
-# not change results.
+# grad-weight's image groups, the band blocks of a banded resize, SSIM
+# strips, the pieces of metrics._mse) and split the pieces over WORKERS
+# threads: the caller and a pool of WORKERS - 1. The pieces depend only
+# on the shapes (CONV_TILE, BAND_BLOCK, SSIM_STRIP, metrics.MSE_PIECE);
+# WORKERS only decides which thread runs which piece. Each piece writes
+# its own output rows and reduced partials are added in piece order, so
+# neither the split nor WORKERS changes a result. (A GEMM over fewer
+# columns can round some outputs differently, so a cut that followed
+# WORKERS made output bytes follow OPENBLAS_NUM_THREADS.) WORKERS is the
+# thread count numpy's OpenBLAS started with, so OPENBLAS_NUM_THREADS=1
+# runs every kernel in turn. A call is split into at most one share per
+# CONV_TILE of work (_parts), as pool round trips slow small calls.
 #
 # The first split pins BLAS to one thread, where it stays: each BLAS call
 # made at two threads leaves OpenBLAS's worker spinning into the next
@@ -212,7 +216,10 @@ def _workspace(slot, size, dt):
 # import, training set-up read 25-35% slower. Letting BLAS go back to
 # WORKERS threads whenever a call runs in turn did not make training
 # evaluation (48x48 frames, after the split training steps) measurably
-# faster.
+# faster. Grad-weight and metrics._mse pin BLAS too, split or not: their
+# GEMMs and dot products (of more than 10,000 elements) at two BLAS
+# threads differ in the last bits from one thread, so a training run or
+# PSNR that never split would follow OPENBLAS_NUM_THREADS.
 
 @lru_cache(maxsize=1)
 def _openblas():
@@ -263,6 +270,13 @@ def _ranges(n, parts):
     return [(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
 
 
+def _pin_blas():
+    """Set BLAS to one thread, where it stays for the rest of the process."""
+    blas = _openblas()
+    if blas is not None and blas[0]() != 1:
+        blas[1](1)
+
+
 def _parallel(fn, items, parts=None):
     """[fn(item) for item in items], cut into min(parts or WORKERS,
     len(items)) contiguous shares: the caller runs the first, each pool
@@ -273,9 +287,7 @@ def _parallel(fn, items, parts=None):
     n = min(parts or WORKERS, len(items))
     if _POOL is None or n < 2 or getattr(_WORKSPACE, "in_share", False):
         return [fn(item) for item in items]
-    blas = _openblas()
-    if blas is not None and blas[0]() != 1:
-        blas[1](1)
+    _pin_blas()
     shares = [items[lo:hi] for lo, hi in _ranges(len(items), n)]
 
     def run(share):
@@ -375,10 +387,13 @@ def _conv2d_grad_bias(gy):
 
 def _conv2d_grad_weight(x, gy, k, padding):
     """Weight gradient: per image group, per-tap-row GEMMs of the input
-    shifts against gy; the groups' partial sums are added in group order."""
+    shifts against gy; the groups' partial sums are added in group order.
+    BLAS is pinned to one thread first, split or not: at 16 channels a
+    two-thread sgemm of these shapes rounds differently."""
     bb, c, h, ww = x.shape
     o, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
     dt = gy.dtype
+    _pin_blas()
     if k == 1 and padding == 0:
         gm, xt = gy.reshape(bb, o, ho * wo), x.reshape(bb, c, h * ww).transpose(0, 2, 1)
         per_image = np.empty((bb, o, c), dt)
@@ -503,34 +518,42 @@ def _band_blocks(m, dtype):
     return tuple(blocks)
 
 
-def _band_apply(x, blocks, n_out, axis):
-    """Multiply the banded matrix of ``blocks`` into axis -1 or -2 of x.
-    The work is split over the leading rows of x (axis -1) or its columns
-    (axis -2), which no GEMM sums over, by the smaller of x and the
-    result: a 96x96 frame's passes stay in turn."""
+def _band_apply(x, blocks, n_out, axis, out=None):
+    """Multiply the banded matrix of ``blocks`` into axis -1 or -2 of x,
+    into the C-contiguous ``out`` if given. Its GEMMs are one per row
+    block, and down the columns (axis -2) one per row block and image
+    plane, as numpy runs a stacked matmul. The pass is split over the
+    workers by the smaller of x and the result (_parts), in pieces of
+    whole GEMMs: whole blocks across, blocks times ranges of image planes
+    down. So the split changes no GEMM, and a 96x96 frame's passes stay
+    in turn."""
     shape = list(x.shape)
     shape[axis] = n_out
-    y = np.empty(shape, x.dtype)
+    y = np.empty(shape, x.dtype) if out is None else out
+    parts = _parts(min(x.size, y.size))
     if axis == -1:
         x2 = x.reshape(-1, x.shape[-1])
         y2 = y.reshape(-1, n_out)
-        n = x2.shape[0]
+        pieces = blocks
 
-        def share(i, j):
-            for lo, hi, a, b, mb in blocks:
-                np.matmul(x2[i:j, a:b], mb.T, out=y2[i:j, lo:hi])
+        def piece(block):
+            lo, hi, a, b, mb = block
+            np.matmul(x2[:, a:b], mb.T, out=y2[:, lo:hi])
     else:
-        n = x.shape[-1]
+        x3 = x.reshape(-1, x.shape[-2], x.shape[-1])
+        y3 = y.reshape(-1, n_out, x.shape[-1])
+        planes = _ranges(len(x3), min(parts, len(x3)))
+        pieces = [(block, i, j) for block in blocks for i, j in planes]
 
-        def share(i, j):
-            for lo, hi, a, b, mb in blocks:
-                np.matmul(mb, x[..., a:b, i:j], out=y[..., lo:hi, i:j])
+        def piece(p):
+            (lo, hi, a, b, mb), i, j = p
+            np.matmul(mb, x3[i:j, a:b], out=y3[i:j, lo:hi])
 
-    parts = _parts(min(x.size, y.size))
     if parts == 1:   # skips _parallel's cost, a few us, on small passes
-        share(0, n)
+        for p in pieces:
+            piece(p)
     else:
-        _parallel(lambda r: share(*r), _ranges(n, parts))
+        _parallel(piece, pieces, parts)
     return y
 
 

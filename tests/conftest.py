@@ -37,9 +37,9 @@ def _digest(value):
 @pytest.fixture()
 def split_and_serial(monkeypatch):
     """run(fn) calls fn split over three workers (two pool threads and the
-    caller, whatever WORKERS this process started with), then in turn with
-    no pool. It returns the sha256 digest of each result (the repr of a
-    non-array) and how many shares the pool was handed."""
+    caller, whatever WORKERS this process started with), then in turn at
+    one worker with no pool. It returns the sha256 digest of each result
+    (the repr of a non-array) and how many shares the pool was handed."""
     pool = CountingPool(2)
 
     def run(fn):
@@ -49,6 +49,7 @@ def split_and_serial(monkeypatch):
             m.setattr(tensor, "_POOL", pool)
             split = fn()
         with monkeypatch.context() as m:
+            m.setattr(tensor, "WORKERS", 1)
             m.setattr(tensor, "_POOL", None)
             serial = fn()
         return _digest(split), _digest(serial), pool.submits - before

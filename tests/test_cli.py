@@ -1,9 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vidsr import __version__, model_io, tensor
+import vidsr
+from vidsr import __version__, cli, model_io, tensor
 from vidsr.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from vidsr.metrics import psnr
 from vidsr.network import BackboneConfig, build_backbone, named_params
@@ -152,6 +156,39 @@ class TestPipelineSmoke:
                    "--records", ws / "c.jsonl") == EXIT_OK
         rec = json.loads((ws / "c.jsonl").read_text())
         assert len(rec["model_bytes"]) == 3
+
+
+class TestThreadCount:
+    def test_outputs_do_not_follow_openblas_threads(self, synth_video):
+        # at 270x480, make_lr's column cut followed the worker count, so the
+        # LR frames, the container and its records followed
+        # OPENBLAS_NUM_THREADS (1 against 2); on 32x32 frames a 16-channel
+        # training run that never split ran grad-weight at two BLAS threads
+        ws = synth_video
+        assert run("synth", "--out", ws / "hr270", "--frames", 2, "--height", 270,
+                   "--width", 480, "--seed", 5) == EXIT_OK
+        env = {**os.environ, "PYTHONPATH": str(Path(vidsr.__file__).parents[1])}
+        small = ["--chunks", 2, "--patch", 16, "--batch", 4]
+        digests = []
+        for threads in ("1", "2"):
+            out = ws / f"threads{threads}"
+            for argv in (["chunk", "--frames", ws / "hr270", "--out",
+                          out / "chunked", "--chunks", 2],
+                         small_train_args(ws, out / "m.rcam", seed=0, iters=30,
+                                          extra=small + ["--frames", ws / "hr270"]),
+                         small_train_args(ws, out / "m16.rcam", seed=0, iters=30,
+                                          extra=["--chunks", 2, "--channels", 16,
+                                                 "--patch", 32])):
+                subprocess.run([sys.executable, "-m", "vidsr.cli", *map(str, argv)],
+                               env=env | {"OPENBLAS_NUM_THREADS": threads},
+                               check=True, capture_output=True)
+            # manifests record the thread facts and chunks.json the paths
+            digests.append({p.relative_to(out).as_posix():
+                            hashlib.sha256(p.read_bytes()).hexdigest()
+                            for p in out.rglob("*") if p.is_file()
+                            and p.name not in ("manifest.json", "chunks.json")
+                            and not p.name.endswith(".manifest.json")})
+        assert len(digests[0]) == 8 and digests[0] == digests[1]
 
 
 class TestClientPath:
@@ -708,6 +745,42 @@ class TestMalformedInputs:
         assert err.startswith("input error:") and message in err
         assert not (ws / "sr").exists()
 
+    @pytest.mark.parametrize("out,message", [
+        ("adir", "Is a directory"), ("afile/m.rcam", "File exists")])
+    def test_train_out_is_checked_before_the_run(self, synth_video, capsys,
+                                                 monkeypatch, out, message):
+        # both failed only once the whole run was over
+        ws = synth_video
+        (ws / "adir").mkdir()
+        (ws / "afile").write_text("")
+
+        def trained(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", trained)
+        capsys.readouterr()
+        assert run(*small_train_args(ws, ws / out)) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize("out", ["chunked", "chunked/lr", "chunked/hr/../lr/"])
+    def test_infer_refuses_to_overwrite_its_input(self, synth_video, capsys, out):
+        # --out chunked/lr exited 0 and replaced the LR frames by SR frames
+        ws = synth_video
+        assert run("chunk", "--frames", ws / "hr", "--out", ws / "chunked",
+                   "--chunks", 3, "--scale", 2) == EXIT_OK
+        self.save_toy_model(ws / "m.rcam", prompts=3)
+        before = {p.name: p.read_bytes() for p in (ws / "chunked" / "lr").iterdir()}
+        capsys.readouterr()
+        assert run("infer", "--model", ws / "m.rcam", "--chunked", ws / "chunked",
+                   "--out", ws / out) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and "overwrite" in err
+        assert before == {p.name: p.read_bytes()
+                          for p in (ws / "chunked" / "lr").iterdir()}
+        assert sorted(p.name for p in (ws / "chunked").iterdir()) \
+            == ["chunks.json", "hr", "lr", "manifest.json"]
+
     @pytest.fixture()
     def small_frames(self, workspace):
         """3 HR frames of 16x16 in hr/, chunked at x2 into 3 chunks of 8x8
@@ -730,6 +803,9 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("argv,message", [
         (TRAIN_ON_HR + ["--chunks", 3, "--patch", 48],
          "patch 48 exceeds frame (16x16)"),
+        # --out was made before this check and left behind empty
+        (TRAIN_ON_HR + ["--chunks", 3, "--patch", 48, "--baseline-per-chunk"],
+         "patch 48 exceeds frame (16x16)"),
         (TRAIN_ON_HR + ["--chunks", 3, "--patch", 7],
          "patch size must be a multiple of the scale"),
         (["chunk", "--frames", "hr", "--out", "d", "--chunks", 5],
@@ -744,7 +820,8 @@ class TestMalformedInputs:
         # metrics.cost_report's check; cost-report exited 1 with its own copy
         (["cost-report", "--chunked", "chunked", "--model", "m2.rcam",
           "--records", "d"], "need one prompt size per chunk, got 2"),
-    ], ids=["train-patch-over-frame", "train-patch-off-scale", "chunk-chunks-5",
+    ], ids=["train-patch-over-frame", "train-baseline-patch-over-frame",
+            "train-patch-off-scale", "chunk-chunks-5",
             "train-chunks-5", "chunk-scale-over-frame", "infer-prompt-over-frame",
             "eval-under-ssim-window", "cost-report-prompt-count"])
     def test_argument_conflicting_with_data_is_one_line_validation_error(

@@ -5,8 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vidsr.metrics import (SSIM_STRIP, _gaussian_window, consistency, cost_report,
-                           psnr, ssim)
+from vidsr import tensor as T
+from vidsr.metrics import (MSE_PIECE, SSIM_STRIP, _gaussian_window, _mse,
+                           consistency, cost_report, psnr, ssim)
 from vidsr.tensor import ShapeMismatch, Tensor4, bicubic_resize
 
 from oracles import ssim_oracle
@@ -57,7 +58,68 @@ class TestPsnr:
         assert abs(psnr(t4(a), t4(b)) - 10 * math.log10(1 / mse)) <= 1e-9
 
 
+class TestMse:
+    def test_pieces_give_the_serial_bytes(self, split_and_serial):
+        # a 540x960 frame pair: 24 pieces over 3 workers
+        a, b = rnd((1, 3, 540, 960), 20), rnd((1, 3, 540, 960), 21)
+        assert -(-a.size // MSE_PIECE) == 24
+        split, serial, submits = split_and_serial(lambda: _mse(a, b))
+        assert split == serial and submits == 2
+
+    @pytest.mark.parametrize("shape", [(1, 3, 48, 48), (1, 1, 256, 256)],
+                             ids=["eval-48", "one-whole-piece"])
+    def test_one_piece_is_one_dot_product(self, shape):
+        a, b = rnd(shape, 22), rnd(shape, 23)
+        assert a.size <= MSE_PIECE
+        d = a.astype(np.float64) - b.astype(np.float64)
+        assert _mse(a, b) == float(np.dot(d.ravel(), d.ravel())) / d.size
+
+    def test_pins_blas(self, monkeypatch):
+        # a threaded dot product adds its threads' parts, so its last bits
+        # would follow the BLAS thread count; even one piece pins BLAS
+        sets = []
+        monkeypatch.setattr(T, "_openblas", lambda: (
+            lambda: sets[-1] if sets else 2, sets.append))
+        a = rnd((1, 3, 48, 48), 24)
+        _mse(a, a)
+        _mse(a, a)
+        assert sets == [1]
+
+
 class TestSsim:
+    @staticmethod
+    def oracle(a, b):
+        """ssim_oracle of the channel means of each image, averaged."""
+        g = _gaussian_window()
+        window = np.outer(g, g)
+        return np.mean([ssim_oracle(x.astype(np.float64).mean(axis=0),
+                                    y.astype(np.float64).mean(axis=0), window)
+                        for x, y in zip(a, b)])
+
+    @pytest.mark.parametrize("noise", [0, 1e-4, 1e-3])
+    @pytest.mark.parametrize("level", [0.02, 0.5, 0.98])
+    def test_flat_and_near_flat_match_oracle(self, level, noise):
+        # e2 - m2 cancels on flat windows; float32 moment maps missed the
+        # tolerance on bright near-flat frames
+        rng = np.random.default_rng(26)
+        a, b = ((level + noise * rng.standard_normal((1, 3, 40, 75))).astype(np.float32)
+                for _ in range(2))
+        assert abs(ssim(t4(a), t4(b)) - self.oracle(a, b)) <= 1e-6
+
+    def test_two_tone_near_flat_matches_oracle(self):
+        rng = np.random.default_rng(27)
+        base = np.full((1, 3, 40, 75), 0.9)
+        base[..., 37:] = 0.1
+        a, b = ((base + 1e-3 * rng.standard_normal(base.shape)).astype(np.float32)
+                for _ in range(2))
+        assert abs(ssim(t4(a), t4(b)) - self.oracle(a, b)) <= 1e-6
+
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_channel_counts_match_oracle(self, channels):
+        a = rnd((2, channels, 45, 50), 28)
+        b = np.clip(a + 0.2 * rnd(a.shape, 29) - 0.1, 0, 1)
+        assert abs(ssim(t4(a), t4(b)) - self.oracle(a, b)) <= 1e-6
+
     def test_self_is_one(self):
         a = t4(rnd((1, 3, 16, 16), 3))
         assert abs(ssim(a, a) - 1.0) <= 1e-9

@@ -280,8 +280,11 @@ class TestWorkers:
         monkeypatch.setattr(T, "_POOL", pool)
         hr, sr = self.arrays(6, (1, 3, 540, 960), (1, 3, 540, 960))
         T._bicubic_resize(hr, 270, 480)
-        # each pass: the smaller of its input and output, over CONV_TILE
-        assert pool.submits == (3 * 540 * 480 // tile - 1) + (3 * 270 * 480 // tile - 1)
+        # each pass: one share per CONV_TILE of the smaller of its input
+        # and output, and at most one per piece: the 8 band blocks across,
+        # then 5 band blocks times 3 image planes down
+        assert pool.submits == (min(3 * 540 * 480 // tile, 8) - 1) \
+            + (min(3 * 270 * 480 // tile, 5 * 3) - 1)
         before = pool.submits
         M.ssim(T.Tensor4(hr), T.Tensor4(sr))
         strips = -(-530 // M.SSIM_STRIP)
@@ -326,6 +329,22 @@ class TestWorkers:
                    lambda: T._bicubic_resize(hr, 270, 480, transpose=True)):
             split, serial, submits = split_and_serial(fn)
             assert split == serial and submits == 4   # 2 per pass
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_bicubic_bytes_do_not_follow_workers(self, monkeypatch, workers):
+        # 270x480 -> 135x240 (make_lr of a 270x480 frame): cut into one
+        # column range per worker, 1 ulp moved in 2,424 of 97,200 values
+        (x,) = self.arrays(9, (1, 3, 270, 480))
+        with monkeypatch.context() as m:
+            m.setattr(T, "WORKERS", 1)
+            m.setattr(T, "_POOL", None)
+            serial = T._bicubic_resize(x, 135, 240)
+        pool = CountingPool(workers - 1)
+        monkeypatch.setattr(T, "WORKERS", workers)
+        monkeypatch.setattr(T, "_POOL", pool)
+        split = T._bicubic_resize(x, 135, 240)
+        pool.shutdown()
+        assert pool.submits > 0 and split.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("call", [
         # make_lr on a training frame, and the 48x48 eval frame's skip
@@ -389,6 +408,17 @@ class TestWorkers:
         split_and_serial(lambda: T._bicubic_resize(a, 192, 192))
         split_and_serial(lambda: T._bicubic_resize(a, 48, 48))
         assert sets == [1]
+
+    def test_grad_weight_pins_blas_in_turn(self, monkeypatch, split_and_serial):
+        # a 16-channel grad-weight at two BLAS threads differs in the last
+        # bits from one thread; a small batch runs it in turn
+        sets = []
+        monkeypatch.setattr(T, "_openblas", lambda: (
+            lambda: sets[-1] if sets else 2, sets.append))
+        x, gy = self.arrays(10, (2, 16, 8, 8), (2, 16, 8, 8))
+        split, serial, submits = split_and_serial(
+            lambda: T._conv2d_grad_weight(x, gy, 3, 1))
+        assert submits == 0 and sets == [1]
 
     def test_without_blas_symbols_there_is_no_pool(self, monkeypatch):
         before = T.blas_threads()
