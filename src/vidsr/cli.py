@@ -110,9 +110,24 @@ def _sidecar(out_path: Path, name: str) -> Path:
     return out_path.with_name(f"{out_path.name}.{name}")
 
 
+def _dumps(obj, indent=None) -> str:
+    """The one JSON encoding of the files subcommands write. JSON has no
+    number for a non-finite float; it is written as its repr string
+    ("inf", "-inf", "nan")."""
+    def plain(v):
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(float(v))
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [plain(x) for x in v]
+        return v
+    return json.dumps(plain(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _write_json(path: Path, obj) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(_dumps(obj, indent=2) + "\n")
     return path
 
 
@@ -152,7 +167,7 @@ def _write_records(path, records):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(_dumps(rec) + "\n")
 
 
 def _load_chunk_dir(path: Path):
@@ -229,6 +244,9 @@ def cmd_chunk(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.baseline_per_chunk and args.log:
+        raise UsageError("--log does not apply to --baseline-per-chunk, "
+                         "which writes <out>/metrics.jsonl")
     hr = model_io.read_frames(Path(args.frames))
     video = make_lr(chunk_video(hr, args.chunks), args.scale)
     cfg = TrainConfig(scale=args.scale, chunks=args.chunks, iters=args.iters,
@@ -243,14 +261,18 @@ def cmd_train(args) -> int:
     chunks_header = {"count": video.num_chunks,
                      "boundaries": [list(b) for b in video.boundaries]}
     check_patch(video, cfg.patch)
-    # --out is checked and created once the set-up checks pass, before the run
+    # --out and --log are checked and created once the set-up checks pass,
+    # before the run
     out = Path(args.out)
+    log_path = Path(args.log or f"{out}.metrics.jsonl")
     if args.baseline_per_chunk:
         out.mkdir(parents=True, exist_ok=True)
-    elif out.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
     else:
-        out.parent.mkdir(parents=True, exist_ok=True)
+        for path in (out, log_path):
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        str(path))
+            path.parent.mkdir(parents=True, exist_ok=True)
     tvp_side = 0  # the side the trained prompts have; the baseline has none
     try:
         # a diverging run overflows before the non-finite loss check stops
@@ -274,12 +296,11 @@ def cmd_train(args) -> int:
     if args.baseline_per_chunk:
         outputs = []
         records = []
-        for k, res in enumerate(results):
+        for k, (res, (lo, hi)) in enumerate(zip(results, video.boundaries)):
             path = out / f"chunk{k:02d}.rcam"
             model_io.save_model(path, res.net, [],
-                                chunks={"count": 1, "boundaries":
-                                        [[0, len(video.hr)]]},
-                                train_config=cfg.snapshot())
+                                chunks={"count": 1, "boundaries": [[0, hi - lo]]},
+                                train_config=res.config.snapshot())
             outputs.append(path)
             records.extend({"chunk": k, **entry} for entry in res.log)
             _log(f"train[baseline chunk {k}]: loss {res.first_loss:.4f} -> "
@@ -290,11 +311,10 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     model_io.save_model(out, res.net, res.prompts, chunks=chunks_header,
-                        train_config=cfg.snapshot())
-    log_path = args.log or str(out) + ".metrics.jsonl"
+                        train_config=res.config.snapshot())
     _write_records(log_path, res.log)
     _write_manifest(out, "train", config,
-                    {"frames": args.frames}, [out, Path(log_path)])
+                    {"frames": args.frames}, [out, log_path])
     # reported once every output is written, so a failing check or write
     # prints only its own line
     _log(f"train: {param_count(res.net)} params, {video.num_chunks} chunks, "
@@ -514,7 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--patch", type=_int_from(1), default=48)
     tp.add_argument("--lr", type=_finite(positive=True), default=5e-5,
                     help="learning rate (toy runs converge faster near 2e-3)")
-    tp.add_argument("--log", default=None, help="metrics jsonl path")
+    tp.add_argument("--log", default=None, help="metrics jsonl path "
+                    "(default <out>.metrics.jsonl; not with --baseline-per-chunk)")
     tp.set_defaults(fn=cmd_train)
 
     fp = sub.add_parser("fuse", help="collapse a trained model for delivery")

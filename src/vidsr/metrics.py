@@ -18,7 +18,6 @@ from .tensor import (
     _band_blocks,
     _parallel,
     _parts,
-    _pin_blas,
     _workspace,
     bicubic_resize,
 )
@@ -39,11 +38,8 @@ def _mse(a, b) -> float:
     """Mean squared difference of two float32 arrays, in float64 where their
     difference is exact. Each piece of MSE_PIECE elements writes its difference
     into this thread's stack buffer and reduces it by one dot product; the
-    piece sums are added in piece order over the tensor module's workers.
-    BLAS is pinned to one thread first, so the dot products do not depend
-    on its thread count."""
+    piece sums are added in piece order over the tensor module's workers."""
     a, b = a.ravel(), b.ravel()
-    _pin_blas()
 
     def piece(lo):
         hi = lo + MSE_PIECE
@@ -52,8 +48,6 @@ def _mse(a, b) -> float:
         d -= b[lo:hi]
         return float(np.dot(d, d))
 
-    if a.size <= MSE_PIECE:   # skips _parallel's cost on training evaluation
-        return piece(0) / a.size
     total = 0.0
     for part in _parallel(piece, range(0, a.size, MSE_PIECE)):
         total += part

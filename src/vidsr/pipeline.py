@@ -56,13 +56,10 @@ class TrainDiverged(RuntimeError):
         self.config = config
 
     def diagnostic(self) -> dict:
-        """JSON-ready dump; non-finite floats become their repr strings."""
-        def num(v):
-            return v if math.isfinite(v) else repr(v)
+        """The dump ``vidsr train`` writes on exit 3."""
         return {"error": str(self), "iteration": self.iteration,
-                "lr": self.lr, "last_losses": [num(v) for v in self.losses],
-                "grad_norms": {k: num(v) for k, v in self.grad_norms.items()},
-                "config": self.config}
+                "lr": self.lr, "last_losses": self.losses,
+                "grad_norms": self.grad_norms, "config": self.config}
 
 
 @dataclass
@@ -241,6 +238,7 @@ class PatchSampler:
 class TrainResult:
     net: object
     prompts: list
+    config: TrainConfig   # the config the run trained with
     log: list = field(default_factory=list)
     first_loss: float = math.nan
     final_loss: float = math.nan
@@ -348,7 +346,7 @@ def train(net, prompts, video: ChunkedVideo, config: TrainConfig) -> TrainResult
     adam = Adam({k: v.shape for k, v in params.items()})
     epoch_len = epoch_length(video, config)
 
-    result = TrainResult(net=net, prompts=prompts)
+    result = TrainResult(net=net, prompts=prompts, config=config)
     last_grad_norms = {}
     recent_losses = deque(maxlen=DIVERGED_LOSSES)
     for it in range(config.iters):

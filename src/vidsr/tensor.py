@@ -199,27 +199,11 @@ def _workspace(slot, size, dt):
 # on the shapes (CONV_TILE, BAND_BLOCK, SSIM_STRIP, metrics.MSE_PIECE);
 # WORKERS only decides which thread runs which piece. Each piece writes
 # its own output rows and reduced partials are added in piece order, so
-# neither the split nor WORKERS changes a result. (A GEMM over fewer
-# columns can round some outputs differently, so a cut that followed
-# WORKERS made output bytes follow OPENBLAS_NUM_THREADS.) WORKERS is the
-# thread count numpy's OpenBLAS started with, so OPENBLAS_NUM_THREADS=1
-# runs every kernel in turn. A call is split into at most one share per
-# CONV_TILE of work (_parts), as pool round trips slow small calls.
-#
-# The first split pins BLAS to one thread, where it stays: each BLAS call
-# made at two threads leaves OpenBLAS's worker spinning into the next
-# split section, and setting one thread around each split section,
-# restoring the count afterwards, ran deliver_270p slower end to end.
-# Until then BLAS keeps its own threads, so what runs before anything
-# splits (a training run's set-up on small frames), or in a process that
-# never splits, runs as it did without the pool: with BLAS pinned at
-# import, training set-up read 25-35% slower. Letting BLAS go back to
-# WORKERS threads whenever a call runs in turn did not make training
-# evaluation (48x48 frames, after the split training steps) measurably
-# faster. Grad-weight and metrics._mse pin BLAS too, split or not: their
-# GEMMs and dot products (of more than 10,000 elements) at two BLAS
-# threads differ in the last bits from one thread, so a training run or
-# PSNR that never split would follow OPENBLAS_NUM_THREADS.
+# neither the split nor WORKERS changes a result. WORKERS is the thread
+# count numpy's OpenBLAS started with, and BLAS runs at one thread from
+# import on: the pool is the only parallelism, so no GEMM or dot product
+# rounds by OPENBLAS_NUM_THREADS. A call is split into at most one share
+# per CONV_TILE of work (_parts), as pool round trips slow small calls.
 
 @lru_cache(maxsize=1)
 def _openblas():
@@ -246,13 +230,14 @@ def blas_threads():
 
 
 def _start_workers():
-    """(WORKERS, pool): WORKERS is the thread count BLAS started with and
-    the pool has WORKERS - 1 threads, started on first use. Without the
-    OpenBLAS symbols, or at one thread: (1, None)."""
+    """(WORKERS, pool): WORKERS is the thread count BLAS started with, BLAS
+    is set to one thread, and the pool has WORKERS - 1 threads, started on
+    first use. Without the OpenBLAS symbols, or at one thread: (1, None)."""
     blas = _openblas()
     n = blas[0]() if blas is not None else 1
     if n < 2:
         return 1, None
+    blas[1](1)
     return n, ThreadPoolExecutor(n - 1, thread_name_prefix="vidsr-worker")
 
 
@@ -270,24 +255,15 @@ def _ranges(n, parts):
     return [(j * n // parts, (j + 1) * n // parts) for j in range(parts)]
 
 
-def _pin_blas():
-    """Set BLAS to one thread, where it stays for the rest of the process."""
-    blas = _openblas()
-    if blas is not None and blas[0]() != 1:
-        blas[1](1)
-
-
 def _parallel(fn, items, parts=None):
     """[fn(item) for item in items], cut into min(parts or WORKERS,
     len(items)) contiguous shares: the caller runs the first, each pool
     thread one more. Runs in turn without a pool, for one share, and when
-    called from inside a share, so that no share waits on the pool. The
-    first split pins BLAS to one thread."""
+    called from inside a share, so that no share waits on the pool."""
     items = list(items)
     n = min(parts or WORKERS, len(items))
     if _POOL is None or n < 2 or getattr(_WORKSPACE, "in_share", False):
         return [fn(item) for item in items]
-    _pin_blas()
     shares = [items[lo:hi] for lo, hi in _ranges(len(items), n)]
 
     def run(share):
@@ -387,13 +363,10 @@ def _conv2d_grad_bias(gy):
 
 def _conv2d_grad_weight(x, gy, k, padding):
     """Weight gradient: per image group, per-tap-row GEMMs of the input
-    shifts against gy; the groups' partial sums are added in group order.
-    BLAS is pinned to one thread first, split or not: at 16 channels a
-    two-thread sgemm of these shapes rounds differently."""
+    shifts against gy; the groups' partial sums are added in group order."""
     bb, c, h, ww = x.shape
     o, ho, wo = gy.shape[1], gy.shape[2], gy.shape[3]
     dt = gy.dtype
-    _pin_blas()
     if k == 1 and padding == 0:
         gm, xt = gy.reshape(bb, o, ho * wo), x.reshape(bb, c, h * ww).transpose(0, 2, 1)
         per_image = np.empty((bb, o, c), dt)
@@ -549,11 +522,7 @@ def _band_apply(x, blocks, n_out, axis, out=None):
             (lo, hi, a, b, mb), i, j = p
             np.matmul(mb, x3[i:j, a:b], out=y3[i:j, lo:hi])
 
-    if parts == 1:   # skips _parallel's cost, a few us, on small passes
-        for p in pieces:
-            piece(p)
-    else:
-        _parallel(piece, pieces, parts)
+    _parallel(piece, pieces, parts)
     return y
 
 

@@ -30,6 +30,7 @@ from vidsr.pipeline import (
     evaluate_psnr,
     make_lr,
     sr_frame,
+    train,
 )
 from vidsr.prompt import VisualPrompt, make_prompt
 from vidsr.tensor import Tensor4
@@ -157,13 +158,36 @@ class TestPipelineSmoke:
         rec = json.loads((ws / "c.jsonl").read_text())
         assert len(rec["model_bytes"]) == 3
 
+    def test_baseline_containers_record_what_trained_them(self, workspace):
+        # each chunk's container claimed the shared seed 3, chunks 2,
+        # tvp_size 4 and boundaries [[0, 4]]
+        ws = workspace
+        assert run("synth", "--out", ws / "hr", "--frames", 4,
+                   "--height", 24, "--width", 24, "--seed", 1) == EXIT_OK
+        assert run("train", "--frames", ws / "hr", "--out", ws / "base",
+                   "--baseline-per-chunk", "--chunks", 2, "--channels", 4,
+                   "--blocks", 1, "--iters", 2, "--batch", 2, "--patch", 8,
+                   "--tvp-size", 4, "--seed", 3) == EXIT_OK
+        hr = model_io.read_frames(ws / "hr")
+        for k in range(2):
+            net, _, header = model_io.load_model(ws / "base" / f"chunk{k:02d}.rcam")
+            cfg = TrainConfig(**header["train_config"])
+            assert (cfg.seed, cfg.chunks, cfg.tvp_size) == (3 + k, 1, 0)
+            assert header["chunks"] == {"count": 1, "boundaries": [[0, 2]]}
+            # the recorded config retrains the chunk's container
+            video = make_lr(chunk_video(hr[2 * k:2 * k + 2], cfg.chunks), cfg.scale)
+            again = train(build_backbone(net.config, seed=cfg.seed), [], video, cfg)
+            assert all(np.array_equal(net.params[n], again.net.params[n])
+                       for n in net.params)
+
 
 class TestThreadCount:
     def test_outputs_do_not_follow_openblas_threads(self, synth_video):
         # at 270x480, make_lr's column cut followed the worker count, so the
         # LR frames, the container and its records followed
         # OPENBLAS_NUM_THREADS (1 against 2); on 32x32 frames a 16-channel
-        # training run that never split ran grad-weight at two BLAS threads
+        # training run that never split ran grad-weight at two BLAS threads.
+        # infer and eval of the 32x32 frames never split either.
         ws = synth_video
         assert run("synth", "--out", ws / "hr270", "--frames", 2, "--height", 270,
                    "--width", 480, "--seed", 5) == EXIT_OK
@@ -178,7 +202,14 @@ class TestThreadCount:
                                           extra=small + ["--frames", ws / "hr270"]),
                          small_train_args(ws, out / "m16.rcam", seed=0, iters=30,
                                           extra=["--chunks", 2, "--channels", 16,
-                                                 "--patch", 32])):
+                                                 "--patch", 32]),
+                         ["chunk", "--frames", ws / "hr", "--out",
+                          out / "chunked32", "--chunks", 2],
+                         ["infer", "--model", out / "m16.rcam", "--chunked",
+                          out / "chunked32", "--out", out / "sr32"],
+                         ["eval", "--sr", out / "sr32", "--hr",
+                          out / "chunked32" / "hr", "--lr", out / "chunked32" / "lr",
+                          "--records", out / "eval32.jsonl"]):
                 subprocess.run([sys.executable, "-m", "vidsr.cli", *map(str, argv)],
                                env=env | {"OPENBLAS_NUM_THREADS": threads},
                                check=True, capture_output=True)
@@ -188,7 +219,7 @@ class TestThreadCount:
                             for p in out.rglob("*") if p.is_file()
                             and p.name not in ("manifest.json", "chunks.json")
                             and not p.name.endswith(".manifest.json")})
-        assert len(digests[0]) == 8 and digests[0] == digests[1]
+        assert len(digests[0]) == 27 and digests[0] == digests[1]
 
 
 class TestClientPath:
@@ -293,6 +324,19 @@ class TestManifests:
         assert {p.values.shape for p in prompts} == {(3, 16, 16)}
         # the container keeps the configuration as given
         assert header["train_config"]["tvp_size"] == 100
+
+    def test_records_of_identical_frames_are_json(self, synth_video):
+        # the infinite PSNR was written as the bare token Infinity
+        ws = synth_video
+        assert run("eval", "--sr", ws / "hr", "--hr", ws / "hr",
+                   "--records", ws / "r.jsonl") == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        for line in (ws / "r.jsonl").read_text().splitlines():
+            rec = json.loads(line, parse_constant=refuse)
+            assert rec["psnr"] == "inf" and rec["ssim"] == 1.0
 
     def test_train_determinism_byte_identical(self, synth_video):
         ws = synth_video
@@ -762,6 +806,43 @@ class TestMalformedInputs:
         assert run(*small_train_args(ws, ws / out)) == EXIT_USAGE
         err = self.one_line(capsys)
         assert err.startswith("input error:") and message in err
+
+    @pytest.mark.parametrize("log,message", [
+        ("adir", "Is a directory"), ("afile/log.jsonl", "File exists")])
+    def test_train_log_is_checked_before_the_run(self, synth_video, capsys,
+                                                 monkeypatch, log, message):
+        # both failed only once the whole run was over, with the container
+        # written and no log or manifest
+        ws = synth_video
+        (ws / "adir").mkdir()
+        (ws / "afile").write_text("")
+
+        def trained(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train", trained)
+        capsys.readouterr()
+        assert run(*small_train_args(ws, ws / "m.rcam",
+                                     extra=["--log", ws / log])) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("input error:") and message in err
+        assert not (ws / "m.rcam").exists()
+
+    def test_log_with_baseline_per_chunk_is_usage_error(self, synth_video,
+                                                        capsys, monkeypatch):
+        # the baseline writes <out>/metrics.jsonl and ignored --log
+        ws = synth_video
+
+        def trained(*args):
+            raise AssertionError("train ran")
+
+        monkeypatch.setattr(cli, "train_baseline_per_chunk", trained)
+        capsys.readouterr()
+        assert run(*small_train_args(ws, ws / "base", extra=[
+            "--baseline-per-chunk", "--log", ws / "m.jsonl"])) == EXIT_USAGE
+        err = self.one_line(capsys)
+        assert err.startswith("usage error:") and "--log" in err
+        assert not (ws / "base").exists()
 
     @pytest.mark.parametrize("out", ["chunked", "chunked/lr", "chunked/hr/../lr/"])
     def test_infer_refuses_to_overwrite_its_input(self, synth_video, capsys, out):

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vidsr import tensor as T
 from vidsr.metrics import (MSE_PIECE, SSIM_STRIP, _gaussian_window, _mse,
                            consistency, cost_report, psnr, ssim)
 from vidsr.tensor import ShapeMismatch, Tensor4, bicubic_resize
@@ -73,17 +72,6 @@ class TestMse:
         assert a.size <= MSE_PIECE
         d = a.astype(np.float64) - b.astype(np.float64)
         assert _mse(a, b) == float(np.dot(d.ravel(), d.ravel())) / d.size
-
-    def test_pins_blas(self, monkeypatch):
-        # a threaded dot product adds its threads' parts, so its last bits
-        # would follow the BLAS thread count; even one piece pins BLAS
-        sets = []
-        monkeypatch.setattr(T, "_openblas", lambda: (
-            lambda: sets[-1] if sets else 2, sets.append))
-        a = rnd((1, 3, 48, 48), 24)
-        _mse(a, a)
-        _mse(a, a)
-        assert sets == [1]
 
 
 class TestSsim:

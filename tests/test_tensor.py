@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,36 +393,25 @@ class TestWorkers:
         else:
             assert T._POOL._max_workers == T.WORKERS - 1
 
-    def test_start_sizes_pool_and_leaves_blas(self, monkeypatch):
-        pinned = []
-        monkeypatch.setattr(T, "_openblas", lambda: (lambda: 4, pinned.append))
+    def test_start_sizes_pool_and_sets_blas_to_one_thread(self, monkeypatch):
+        sets = []
+        monkeypatch.setattr(T, "_openblas", lambda: (lambda: 4, sets.append))
         workers, pool = T._start_workers()
         pool.shutdown()
-        assert workers == 4 and pool._max_workers == 3 and pinned == []
+        assert workers == 4 and pool._max_workers == 3 and sets == [1]
 
-    def test_first_split_pins_blas(self, monkeypatch, split_and_serial):
-        sets = []
-        monkeypatch.setattr(T, "_openblas", lambda: (
-            lambda: sets[-1] if sets else 2, sets.append))
-        (a,) = self.arrays(7, (1, 3, 96, 96))
-        # make_lr's passes on a 96x96 frame run in turn and leave BLAS at
-        # its threads; a 2x upscale splits and pins it to one, once
-        split_and_serial(lambda: T._bicubic_resize(a, 48, 48))
-        assert sets == []
-        split_and_serial(lambda: T._bicubic_resize(a, 192, 192))
-        split_and_serial(lambda: T._bicubic_resize(a, 48, 48))
-        assert sets == [1]
-
-    def test_grad_weight_pins_blas_in_turn(self, monkeypatch, split_and_serial):
-        # a 16-channel grad-weight at two BLAS threads differs in the last
-        # bits from one thread; a small batch runs it in turn
-        sets = []
-        monkeypatch.setattr(T, "_openblas", lambda: (
-            lambda: sets[-1] if sets else 2, sets.append))
-        x, gy = self.arrays(10, (2, 16, 8, 8), (2, 16, 8, 8))
-        split, serial, submits = split_and_serial(
-            lambda: T._conv2d_grad_weight(x, gy, 3, 1))
-        assert submits == 0 and sets == [1]
+    @pytest.mark.skipif(T._openblas() is None, reason="no OpenBLAS symbols")
+    def test_import_alone_sets_blas_to_one_thread(self):
+        # BLAS kept its threads until the first split, so GEMMs that ran
+        # before it, or in a process that never split, followed them
+        code = ("import vidsr.tensor as T; "
+                "print(T.WORKERS, T.blas_threads(), T._POOL is not None)")
+        env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).parents[1])}
+        read = [subprocess.run([sys.executable, "-c", code], check=True,
+                               env=env | {"OPENBLAS_NUM_THREADS": threads},
+                               capture_output=True, text=True).stdout.split()
+                for threads in ("2", "1")]
+        assert read == [["2", "1", "True"], ["1", "1", "False"]]
 
     def test_without_blas_symbols_there_is_no_pool(self, monkeypatch):
         before = T.blas_threads()
